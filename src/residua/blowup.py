@@ -20,22 +20,10 @@ or at singular directions with non-rational coordinates.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .rationals import ZERO, GaussRational
+from .rationals import ZERO, GaussRational, fraction_sqrt
 from .polynomials import MultiPoly, exact_divide
 from .foliation import Foliation
 from .univariate import rational_roots
-
-# trace^2/det values (p+q)^2/(p q) of nodes with eigenvalue ratio p:q;
-# those linear parts can still become dicritical after blow-ups, all
-# others cannot
-POSITIVE_RESONANCE_BOUND = 100
-POSITIVE_RESONANCES = frozenset(
-    GaussRational(Fraction((p + q) ** 2, p * q))
-    for p in range(1, POSITIVE_RESONANCE_BOUND + 1)
-    for q in range(p, POSITIVE_RESONANCE_BOUND + 1)
-)
 
 
 class DicriticalResult:
@@ -133,36 +121,48 @@ def exceptional_line_invariant(fol: Foliation, chart: str) -> bool:
     return exact_divide(blown.a, MultiPoly.var("y")) is not None
 
 
+def is_positive_resonance(r: GaussRational) -> bool:
+    """Whether r = (p+q)^2/(p q) for some positive integers p, q, the
+    trace^2/det of a node with eigenvalue ratio p:q.  As r = t + 1/t + 2
+    with t = p/q, that holds exactly when r is rational and
+    t^2 - (r-2) t + 1 has a positive rational root.  The roots are t and
+    1/t, with sum s = r - 2; they are rational when s^2 - 4 is a rational
+    square, and positive when s > 0."""
+    if not r.is_real():
+        return False
+    s = r.re - 2
+    return s > 0 and fraction_sqrt(s * s - 4) is not None
+
+
 def _linear_part_rules_out_dicritical(fol: Foliation) -> bool:
     j = fol.jacobian_at()
     det = j[0][0] * j[1][1] - j[0][1] * j[1][0]
     if det.is_zero():
         return False
     tr = j[0][0] + j[1][1]
-    return (tr * tr / det) not in POSITIVE_RESONANCES
+    return not is_positive_resonance(tr * tr / det)
 
 
-def linear_part_rules_out_dicritical(jac, tol: float = 1e-9,
-                                     bound: int = POSITIVE_RESONANCE_BOUND) -> bool:
+def linear_part_rules_out_dicritical(jac, tol: float = 1e-9) -> bool:
     """Numeric variant for points with approximate coordinates: a
-    nondegenerate linear part whose trace^2/det stays away from every
-    positive-resonance value cannot become dicritical."""
+    nondegenerate linear part whose trace^2/det is no positive-resonance
+    value cannot become dicritical.  Those values t + 1/t + 2 (t > 0
+    rational) are dense in [4, oo), so numerically only a ratio off that
+    half-line, by more than tol, rules dicriticalness out."""
     (fx, fy), (gx, gy) = jac
     det = fx * gy - fy * gx
     if abs(det) <= tol:
         return False
     ratio = (fx + gy) ** 2 / det
-    if abs(ratio.imag) > tol:
-        return True
-    for p in range(1, bound + 1):
-        for q in range(p, bound + 1):
-            if abs(ratio.real - (p + q) ** 2 / (p * q)) <= tol:
-                return False
-    return True
+    return abs(ratio.imag) > tol or ratio.real < 4 - tol
 
 
 def is_dicritical(fol: Foliation, point=None, depth_limit: int = 12) -> DicriticalResult:
-    """Decide whether infinitely many leaves pass through the point."""
+    """Decide whether infinitely many leaves pass through the point.
+
+    A node with eigenvalue ratio 1:k needs k blow-ups before the
+    exceptional line turns non-invariant, so for k > depth_limit (12 by
+    default) the verdict is undecided, not dicritical."""
     fol = fol.rename(("x", "y"))
     if point:
         fol = fol.translate(point)

@@ -14,7 +14,7 @@ not."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .rationals import GaussRational, ZERO, ONE
 from .polynomials import (
@@ -240,13 +240,9 @@ class MixedPoly:
 def _rational_content(m: MixedPoly) -> Fraction:
     """Positive rational making m / content primitive over the Gaussian
     integers.  Real scaling only, so conjugation symmetry survives."""
-    den = 1
-    for c in m.terms.values():
-        for part in (c.re.denominator, c.im.denominator):
-            den = den * part // gcd(den, part)
-    num = 0
-    for c in m.terms.values():
-        num = gcd(num, gcd(int(c.re * den), int(c.im * den)))
+    triples = [c.triple for c in m.terms.values()]
+    den = lcm(*(d for _, _, d in triples))
+    num = gcd(*(k * (den // d) for a, b, d in triples for k in (a, b)))
     return Fraction(num, den)
 
 

@@ -15,8 +15,11 @@ Both are deterministic, which the canonical printing relies on.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .rationals import ZERO, ONE, GaussRational, gauss_int_gcd
 
@@ -54,11 +57,24 @@ class TermOrder:
             raise ValueError("duplicate variable in precedence")
 
     def key(self, vars: tuple[str, ...], exponent: tuple[int, ...]):
-        pos = {v: i for i, v in enumerate(vars)}
-        return tuple(exponent[pos[v]] if v in pos else 0 for v in self.precedence)
+        return self.key_function(vars)(exponent)
+
+    def key_function(self, vars: tuple[str, ...]):
+        """key(vars, .) as a one-argument function, for sorting."""
+        return _lex_key(self.precedence, vars)
 
     def graded_key(self, vars, exponent):
         return (sum(exponent), self.key(vars, exponent))
+
+
+@functools.lru_cache(maxsize=None)
+def _lex_key(precedence: tuple[str, ...], vars: tuple[str, ...]):
+    """Reads an exponent over vars in precedence order, absent variables
+    as 0: one permutation per (precedence, vars)."""
+    pos = [vars.index(v) if v in vars else None for v in precedence]
+    if len(pos) > 1 and None not in pos:
+        return operator.itemgetter(*pos)
+    return lambda e: tuple([0 if i is None else e[i] for i in pos])
 
 
 def default_order(vars: tuple[str, ...]) -> TermOrder:
@@ -258,7 +274,7 @@ class MultiPoly:
     def leading_exponent(self, order: TermOrder) -> tuple[int, ...]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=lambda e: order.key(self.vars, e))
+        return max(self.terms, key=order.key_function(self.vars))
 
     def leading_coeff(self, order: TermOrder) -> GaussRational:
         return self.terms[self.leading_exponent(order)]
@@ -550,23 +566,14 @@ def gaussian_content(polys) -> GaussRational:
     Dividing the family by this makes their coefficients coprime Gaussian
     integers with a deterministic unit choice.
     """
-    coeffs = [c for p in polys for c in p.terms.values()]
+    coeffs = [c.triple for p in polys for c in p.terms.values()]
     if not coeffs:
         return GaussRational(1)
-    den = 1
-    for c in coeffs:
-        den = den * (c.re.denominator * c.im.denominator) // _gcd2(den, c.re.denominator * c.im.denominator)
+    den = lcm(*(d for _, _, d in coeffs))
     g = (0, 0)
-    for c in coeffs:
-        scaled = c * den
-        g = gauss_int_gcd(g, (int(scaled.re), int(scaled.im)))
+    for a, b, d in coeffs:
+        g = gauss_int_gcd(g, (a * (den // d), b * (den // d)))
     return GaussRational(Fraction(g[0], den), Fraction(g[1], den))
-
-
-def _gcd2(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- resultants ---------------------------------------------------------

@@ -1,9 +1,14 @@
 """Exact arithmetic in the field Q(i) of Gaussian rationals.
 
-A Gaussian rational is a pair of arbitrary-precision rationals (re, im)
-standing for re + im*i.  ``fractions.Fraction`` already provides reduced
-arbitrary-precision rationals, so the real and imaginary parts are plain
-Fractions and every field operation here is exact.
+A Gaussian rational is stored as one reduced integer triple (a, b, d)
+standing for (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1.  Every value
+has exactly one such triple, so equality is equality of triples.  An
+addition, subtraction, multiplication or inversion is integer arithmetic
+followed by one ``math.gcd`` of three integers; sums over a common
+denominator skip the cross products, and Gaussian integers (d = 1) skip
+the gcd too.  The real and imaginary parts are ``fractions.Fraction``
+properties, and a real value compares and hashes equal to the ``int`` or
+``Fraction`` it equals.
 
 The module also provides exact square roots (needed to solve quadratics
 over Q(i) in closed form) and gcd/divisor utilities for Gaussian integers
@@ -12,23 +17,47 @@ over Q(i) in closed form) and gcd/divisor utilities for Gaussian integers
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Iterator
 
 _RatLike = (int, Fraction)
 
 
-class GaussRational:
-    """An element of Q(i), immutable."""
+def _triple(value):
+    """The reduced triple of an int or a Fraction, else None."""
+    if isinstance(value, int):
+        return (int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return (value.numerator, 0, value.denominator)
+    return None
 
-    __slots__ = ("re", "im")
+
+class GaussRational:
+    """An element of Q(i), immutable.
+
+    ``triple`` is the reduced (a, b, d) with value (a + b*i)/d.
+    """
+
+    __slots__ = ("triple",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            _set_triple(self, (re, im, 1))
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # over d = lcm(q, s) the triple is already reduced, since p/q
+        # and r/s are
+        d = q // gcd(q, s) * s
+        _set_triple(self, (p * (d // q), r * (d // s), d))
 
     def __setattr__(self, name, value):
+        raise AttributeError("GaussRational is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("GaussRational is immutable")
 
     # -- constructors ---------------------------------------------------
@@ -41,56 +70,87 @@ class GaussRational:
             return GaussRational(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to GaussRational")
 
+    # -- parts ----------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self.triple
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self.triple
+        return Fraction(b, d)
+
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return self.triple == (0, 0, 1)
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.triple[1]
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self.triple == (1, 0, 1)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self.triple != (0, 0, 1)
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (GaussRational, *_RatLike)):
+        t = other.triple if type(other) is GaussRational else _triple(other)
+        if t is None:
             return NotImplemented
-        other = GaussRational.coerce(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        a1, b1, d1 = self.triple
+        a2, b2, d2 = t
+        if d1 == d2:
+            if d1 == 1:
+                return _make(a1 + a2, b1 + b2, 1)
+            return _reduced(a1 + a2, b1 + b2, d1)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (GaussRational, *_RatLike)):
+        t = other.triple if type(other) is GaussRational else _triple(other)
+        if t is None:
             return NotImplemented
-        other = GaussRational.coerce(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
+        a1, b1, d1 = self.triple
+        a2, b2, d2 = t
+        if d1 == d2:
+            if d1 == 1:
+                return _make(a1 - a2, b1 - b2, 1)
+            return _reduced(a1 - a2, b1 - b2, d1)
+        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other):
         return GaussRational.coerce(other) - self
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        a, b, d = self.triple
+        return _make(-a, -b, d)
 
     def __mul__(self, other):
-        if not isinstance(other, (GaussRational, *_RatLike)):
+        t = other.triple if type(other) is GaussRational else _triple(other)
+        if t is None:
             return NotImplemented
-        other = GaussRational.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussRational(a * c - b * d, a * d + b * c)
+        a1, b1, d1 = self.triple
+        a2, b2, d2 = t
+        d = d1 * d2
+        if d == 1:
+            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussRational":
-        n = self.re * self.re + self.im * self.im
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        a, b, d = self.triple
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussRational(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * GaussRational.coerce(other).inverse()
@@ -113,41 +173,67 @@ class GaussRational:
         return result
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        a, b, d = self.triple
+        return _make(a, -b, d)
 
     def norm(self) -> Fraction:
         """Field norm re^2 + im^2, a nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self.triple
+        return Fraction(a * a + b * b, d * d)
 
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, GaussRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, _RatLike):
-            return not self.im and self.re == other
-        return NotImplemented
+        t = other.triple if type(other) is GaussRational else _triple(other)
+        if t is None:
+            return NotImplemented
+        return self.triple == t
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        a, b, d = self.triple
+        if b:
+            return hash(self.triple)
+        # as the int or Fraction of the same value
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     # -- conversion -----------------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * float(self.im)
+        a, b, d = self.triple
+        return complex(a / d, b / d)
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sign = "-" if self.im < 0 else "+"
-        return f"{self.re}{sign}{_imag_str(abs(self.im))}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return _imag_str(im)
+        sign = "-" if im < 0 else "+"
+        return f"{re}{sign}{_imag_str(abs(im))}"
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+_set_triple = GaussRational.triple.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussRational:
+    """The value of a triple that is already reduced."""
+    z = _new(GaussRational)
+    _set_triple(z, (a, b, d))
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRational:
+    """The value (a + b*i)/d for d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _make(a, b, d)
 
 
 def _imag_str(im: Fraction) -> str:
@@ -171,7 +257,7 @@ def fraction_sqrt(f: Fraction) -> Fraction | None:
     if f < 0:
         return None
     num, den = f.numerator, f.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
+    rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
@@ -248,7 +334,7 @@ def gauss_int_divisors(z: tuple[int, int], cap: int = 200000) -> Iterator[tuple[
     if n == 0 or n > cap:
         return
     seen = set()
-    bound = math.isqrt(n)
+    bound = isqrt(n)
     for a in range(0, bound + 1):
         for b in range(0, bound + 1):
             m = a * a + b * b

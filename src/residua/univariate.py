@@ -11,7 +11,7 @@ unfactored is handed to the Durand-Kerner iteration.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .exceptions import RootFindingError
 from .rationals import ZERO, ONE, GaussRational, gauss_int_divisors, gauss_sqrt
@@ -149,17 +149,9 @@ def _quadratic_roots(f):
 
 def _sieve_one_root(f):
     """One Q(i) root of f found by the divisor sieve, or None."""
-    den = 1
-    for c in f:
-        for part in (c.re, c.im):
-            d = part.denominator
-            g = _igcd(den, d)
-            den = den // g * d
-    ints = [((c.re * den), (c.im * den)) for c in f]
-    lead = ints[-1]
-    const = ints[0]
-    lead_t = (int(lead[0]), int(lead[1]))
-    const_t = (int(const[0]), int(const[1]))
+    den = lcm(*(c.triple[2] for c in f))
+    lead_t, const_t = ((a * (den // d), b * (den // d))
+                       for a, b, d in (f[-1].triple, f[0].triple))
     units = [GaussRational(1), GaussRational(-1), GaussRational(0, 1), GaussRational(0, -1)]
     for b in gauss_int_divisors(lead_t):
         bq = GaussRational(b[0], b[1])
@@ -171,12 +163,6 @@ def _sieve_one_root(f):
                 if eval_at(f, cand).is_zero():
                     return cand
     return None
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def rational_roots(p: MultiPoly, var: str):

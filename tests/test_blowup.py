@@ -7,12 +7,12 @@ from residua.polynomials import MultiPoly
 from residua.univariate import rational_roots
 from residua.foliation import Foliation
 from residua.blowup import (
-    POSITIVE_RESONANCES,
     DicriticalResult,
     blow_up,
     exceptional_line_invariant,
     first_blowup_dicritical,
     is_dicritical,
+    is_positive_resonance,
     is_simple_dicritical,
     linear_part_rules_out_dicritical,
     vanishing_order,
@@ -84,15 +84,31 @@ def test_exceptional_line_invariance():
 
 
 def test_resonance_set_membership():
-    assert G(4) in POSITIVE_RESONANCES
-    assert G(9, 0) / G(2, 0) in POSITIVE_RESONANCES
-    assert G(25, 0) / G(6, 0) in POSITIVE_RESONANCES
-    assert G(16, 0) / G(3, 0) in POSITIVE_RESONANCES
-    assert G(0) not in POSITIVE_RESONANCES
-    assert G(3) not in POSITIVE_RESONANCES
-    assert G(8) not in POSITIVE_RESONANCES
-    assert G(17, 0) / G(4, 0) not in POSITIVE_RESONANCES
-    assert G(-1, 0) / G(2, 0) not in POSITIVE_RESONANCES
+    assert is_positive_resonance(G(4))
+    assert is_positive_resonance(G(9, 0) / G(2, 0))
+    assert is_positive_resonance(G(25, 0) / G(6, 0))
+    assert is_positive_resonance(G(16, 0) / G(3, 0))
+    assert not is_positive_resonance(G(0))
+    assert not is_positive_resonance(G(3))
+    assert not is_positive_resonance(G(8))
+    assert not is_positive_resonance(G(17, 0) / G(4, 0))
+    assert not is_positive_resonance(G(-1, 0) / G(2, 0))
+    assert not is_positive_resonance(G(4, 1))
+
+
+def test_positive_resonance_has_no_bound():
+    # eigenvalue ratios p:q beyond any table, including 1:101
+    for p, q in [(1, 101), (7, 250), (1000, 999)]:
+        assert is_positive_resonance(G(Fraction((p + q) ** 2, p * q)))
+        assert not is_positive_resonance(G(Fraction((p + q) ** 2 + 1, p * q)))
+
+
+def test_node_one_to_101_is_not_declared_non_dicritical():
+    # leaves y = c x^101: dicritical, but only after 101 blow-ups, so the
+    # default depth limit of 12 leaves it undecided
+    r = is_dicritical(Foliation(-101 * Y, X))
+    assert r.verdict == "undecided"
+    assert is_dicritical(Foliation(-12 * Y, X)) == DicriticalResult("dicritical", 12)
 
 
 def test_linear_part_certificate_numeric():

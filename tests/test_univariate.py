@@ -178,3 +178,19 @@ def test_durand_kerner_matches_exact_roots():
 def test_eval_at():
     f = coeff_list(X ** 2 - 2, "x")
     assert eval_at(f, G(3)) == G(7)
+
+
+def test_rational_roots_sieve_below_cap():
+    # norm(443) = 196,249 is inside the divisor sieve's cap
+    roots, rest = rational_roots((443 * X - 1) * (X ** 2 + X + 1), "x")
+    assert roots == [(G(Fraction(1, 443)), 1)]
+    assert rest.degree() == 2
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: gauss_int_divisors "
+                   "yields nothing past cap=200000, so the exact root falls "
+                   "to the numeric path with no record")
+def test_known_defect_sieve_cap_drops_exact_root():
+    # norm(449) = 201,601 exceeds the cap
+    roots, _ = rational_roots((449 * X - 1) * (X ** 2 + X + 1), "x")
+    assert roots == [(G(Fraction(1, 449)), 1)]
