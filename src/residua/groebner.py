@@ -1,28 +1,27 @@
-"""Buchberger's algorithm with cofactor tracking, and quotient-ring data.
+"""Buchberger's algorithm and quotient-ring data.
 
-Every basis element carries cofactors expressing it as a combination of
-the original generators, so callers can turn membership certificates
-into identities (the elimination routine relies on this).  Orders are
-lexicographic; elimination works by putting the kept variable last.
+Reduced lex Groebner bases serve the quotient algebra only: normal
+forms, standard monomials and the quotient dimension behind Milnor
+numbers.  No cofactors are tracked.  elimination_generator does not run
+Buchberger: it returns the Sylvester resultant of a pair, whose
+cofactors come from the same matrix (polynomials.resultant_cofactors).
 """
 
 from __future__ import annotations
 
 from .rationals import ZERO, GaussRational
 from .polynomials import (
-    GLOBAL_VARS,
     MultiPoly,
     TermOrder,
     default_order,
+    gaussian_content,
+    resultant_cofactors,
     sort_vars,
 )
 
 
 def _ambient(gens):
-    used = set()
-    for g in gens:
-        used.update(g.active_vars())
-    return sort_vars(used)
+    return sort_vars(v for g in gens for v in g.active_vars())
 
 
 def _mono(vars, exp, coeff) -> MultiPoly:
@@ -33,11 +32,10 @@ def _divides_exp(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _divide(p: MultiPoly, reducers, order: TermOrder):
-    """Full division: p = sum q_k * reducers[k] + rem, no term of rem
-    divisible by any reducer's leading term.  Returns (rem, quotients)."""
+def _divide(p: MultiPoly, reducers, order: TermOrder) -> MultiPoly:
+    """Remainder of full division: p = sum q_k * reducers[k] + rem, no
+    term of rem divisible by any reducer's leading term."""
     vars = p.vars
-    quots = [MultiPoly(vars, {}) for _ in reducers]
     rem = MultiPoly(vars, {})
     lts = [(g.leading_exponent(order), g.leading_coeff(order)) for g in reducers]
     work = p
@@ -48,28 +46,22 @@ def _divide(p: MultiPoly, reducers, order: TermOrder):
             if _divides_exp(ge, e):
                 t = _mono(vars, [a - b for a, b in zip(e, ge)], c / gc)
                 work = work - t * reducers[k]
-                quots[k] = quots[k] + t
                 break
         else:
             t = _mono(vars, e, c)
             rem = rem + t
             work = work - t
-    return rem, quots
+    return rem
 
 
 class IdealBasis:
-    """Reduced monic lex basis plus cofactors over the original generators.
+    """Reduced monic lex basis of an ideal."""
 
-    basis[k] == sum(cofactors[k][j] * generators[j] for j).
-    """
+    __slots__ = ("order", "basis")
 
-    __slots__ = ("generators", "order", "basis", "cofactors")
-
-    def __init__(self, generators, order, basis, cofactors):
-        self.generators = tuple(generators)
+    def __init__(self, order, basis):
         self.order = order
         self.basis = tuple(basis)
-        self.cofactors = tuple(tuple(row) for row in cofactors)
 
     def __iter__(self):
         return iter(self.basis)
@@ -81,24 +73,11 @@ class IdealBasis:
         return any(g.is_constant() and not g.is_zero() for g in self.basis)
 
 
-def _vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def _vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def _vec_mul(v, p):
-    return [x * p for x in v]
-
-
 def groebner_basis(gens, order: TermOrder | None = None) -> IdealBasis:
-    gens = [MultiPoly.coerce(g) for g in gens]
-    nz = [g for g in gens if not g.is_zero()]
-    if not nz:
+    items = [g for g in map(MultiPoly.coerce, gens) if not g.is_zero()]
+    if not items:
         raise ValueError("all generators are zero")
-    vars = _ambient(gens)
+    vars = _ambient(items)
     if order is None:
         order = default_order(vars if vars else ("x",))
     else:
@@ -109,85 +88,44 @@ def groebner_basis(gens, order: TermOrder | None = None) -> IdealBasis:
         vars = (order.precedence[-1],)
     # keep vars in global sorted order: arithmetic re-aligns to it, so all
     # exponent tuples stay positionally comparable; precedence lives in order
-    gens = [g.align_to(vars) for g in gens]
-
-    n = len(gens)
-    items: list[tuple[MultiPoly, list[MultiPoly]]] = []
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        cof = [MultiPoly(vars, {}) for _ in range(n)]
-        cof[j] = MultiPoly(vars, {(0,) * len(vars): GaussRational(1)})
-        items.append((g, cof))
+    items = [g.align_to(vars) for g in items]
+    lead = [g.leading_exponent(order) for g in items]
 
     def lcm_exp(i, j):
-        ei = items[i][0].leading_exponent(order)
-        ej = items[j][0].leading_exponent(order)
-        return tuple(max(a, b) for a, b in zip(ei, ej))
+        return tuple(map(max, lead[i], lead[j]))
 
     pairs = {(i, j) for i in range(len(items)) for j in range(i + 1, len(items))}
     while pairs:
-        i, j = min(pairs, key=lambda ij: (sum(lcm_exp(*ij)),
-                                          order.key(vars, lcm_exp(*ij))))
+        i, j = min(pairs, key=lambda ij: order.graded_key(vars, lcm_exp(*ij)))
         pairs.discard((i, j))
-        gi, ci = items[i]
-        gj, cj = items[j]
-        ei = gi.leading_exponent(order)
-        ej = gj.leading_exponent(order)
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        if lcm == tuple(a + b for a, b in zip(ei, ej)):
+        lcm = lcm_exp(i, j)
+        if lcm == tuple(a + b for a, b in zip(lead[i], lead[j])):
             continue  # coprime leading terms, S-polynomial reduces to zero
-        ti = _mono(vars, [a - b for a, b in zip(lcm, ei)],
-                   gi.leading_coeff(order).inverse())
-        tj = _mono(vars, [a - b for a, b in zip(lcm, ej)],
-                   gj.leading_coeff(order).inverse())
-        s = ti * gi - tj * gj
-        scof = _vec_sub(_vec_mul(ci, ti), _vec_mul(cj, tj))
-        rem, quots = _divide(s, [it[0] for it in items], order)
-        for k, q in enumerate(quots):
-            if not q.is_zero():
-                scof = _vec_sub(scof, _vec_mul(items[k][1], q))
+        ti = _mono(vars, [a - b for a, b in zip(lcm, lead[i])],
+                   items[i].leading_coeff(order).inverse())
+        tj = _mono(vars, [a - b for a, b in zip(lcm, lead[j])],
+                   items[j].leading_coeff(order).inverse())
+        rem = _divide(ti * items[i] - tj * items[j], items, order)
         if not rem.is_zero():
-            items.append((rem, scof))
-            new = len(items) - 1
-            pairs.update((k, new) for k in range(new))
+            pairs.update((k, len(items)) for k in range(len(items)))
+            items.append(rem)
+            lead.append(rem.leading_exponent(order))
 
     # minimalize: drop elements whose leading term another element divides
-    keep = []
-    for k, (g, _) in enumerate(items):
-        e = g.leading_exponent(order)
-        drop = False
-        for m, (h, _) in enumerate(items):
-            if m == k:
-                continue
-            he = h.leading_exponent(order)
-            if _divides_exp(he, e) and (he != e or m < k):
-                drop = True
-                break
-        if not drop:
-            keep.append(k)
+    keep = [k for k, e in enumerate(lead)
+            if not any(_divides_exp(he, e) and (he != e or m < k)
+                       for m, he in enumerate(lead) if m != k)]
 
-    # inter-reduce the survivors, keeping cofactors in step
-    reduced: list[tuple[MultiPoly, list[MultiPoly]]] = []
+    # inter-reduce the survivors
+    reduced = []
     for k in keep:
-        g, c = items[k]
-        others = [items[m][0] for m in keep if m != k]
-        rem, quots = _divide(g, others, order) if others else (g, [])
-        rc = list(c)
-        pos = 0
-        for m in keep:
-            if m == k:
-                continue
-            if not quots[pos].is_zero():
-                rc = _vec_sub(rc, _vec_mul(items[m][1], quots[pos]))
-            pos += 1
-        inv = rem.leading_coeff(order).inverse()
-        reduced.append((rem * inv, _vec_mul(rc, inv)))
+        others = [items[m] for m in keep if m != k]
+        rem = _divide(items[k], others, order) if others else items[k]
+        reduced.append(rem * rem.leading_coeff(order).inverse())
 
-    reduced.sort(key=lambda it: order.key(vars, it[0].leading_exponent(order)),
+    reduced.sort(key=lambda g: order.key(vars, g.leading_exponent(order)),
                  reverse=True)
-    return IdealBasis(gens, order, [g for g, _ in reduced],
-                      [c for _, c in reduced])
+    return IdealBasis(order, reduced)
 
 
 def normal_form(p, ideal: IdealBasis) -> MultiPoly:
@@ -196,8 +134,7 @@ def normal_form(p, ideal: IdealBasis) -> MultiPoly:
     extra = [v for v in p.active_vars() if v not in vars]
     if extra:
         raise ValueError(f"polynomial uses variables {extra} outside the ideal ring")
-    rem, _ = _divide(p.align_to(vars), list(ideal.basis), ideal.order)
-    return rem
+    return _divide(p.align_to(vars), ideal.basis, ideal.order)
 
 
 class StandardMonomialSet:
@@ -264,27 +201,25 @@ def quotient_dimension(gens, order: TermOrder | None = None) -> int | None:
     return None if std is None else len(std)
 
 
-def elimination_order(keep: str, vars) -> TermOrder:
-    """Lex order eliminating everything except keep (keep is smallest)."""
-    rest = [v for v in sort_vars(set(vars) | {keep}) if v != keep]
-    return TermOrder(tuple(rest) + (keep,))
-
-
 def elimination_generator(gens, keep: str):
-    """Lowest-degree polynomial in keep alone inside the ideal.
+    """A nonzero polynomial in keep alone inside the ideal of a pair.
 
-    Returns (poly, cofactors) with poly == sum(cofactors[j] * gens[j]).
-    Raises ValueError when the ideal meets the univariate ring only in 0.
+    It is the Sylvester resultant eliminating the other active variable
+    (keep itself when there is none), divided by its Gaussian content.
+    Returns (poly, (u, v)) with poly == u * gens[0] + v * gens[1].  The
+    resultant can vanish where the eliminant does not (common zeros at
+    infinity), and to higher order.  Raises ValueError when the
+    resultant is 0, or when there is no variable or more than one to
+    eliminate.
     """
-    gens = [MultiPoly.coerce(g) for g in gens]
-    vars = _ambient(gens)
-    ideal = groebner_basis(gens, elimination_order(keep, vars))
-    found = None
-    for k, g in enumerate(ideal.basis):
-        active = g.active_vars()
-        if active == () or active == (keep,):
-            if found is None or g.degree_in(keep) < ideal.basis[found].degree_in(keep):
-                found = k
-    if found is None:
-        raise ValueError(f"no univariate element in {keep}")
-    return ideal.basis[found], ideal.cofactors[found]
+    f, g = (MultiPoly.coerce(p) for p in gens)
+    others = [v for v in _ambient([f, g]) if v != keep]
+    if len(others) > 1:
+        raise ValueError(f"cannot eliminate {len(others)} variables {others}")
+    var = others[0] if others else keep
+    res, u, v = resultant_cofactors(f, g, var)
+    if res.is_zero():
+        raise ValueError(f"the resultant in {var} is zero: the pair "
+                         "shares a factor")
+    unit = gaussian_content([res]).inverse()
+    return res * unit, (u * unit, v * unit)

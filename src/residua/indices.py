@@ -101,10 +101,6 @@ def _check_factors(factors):
     return out
 
 
-def _pair_multiplicity(gi, gj, point):
-    return local_intersection_multiplicity(gi, gj, point)
-
-
 def _factored_shift(point, vars):
     if not point:
         return None
@@ -123,7 +119,7 @@ def bb_from_factored(factors, point=None, vars=("x", "y")) -> GaussRational:
         gi, li = factors[i]
         for j in range(i + 1, len(factors)):
             gj, lj = factors[j]
-            m = _pair_multiplicity(gi, gj, shift)
+            m = local_intersection_multiplicity(gi, gj, shift)
             if m:
                 diff = li - lj
                 total = total + diff * diff / (li * lj) * m
@@ -143,7 +139,7 @@ def cs_from_factored(factors, index: int, point=None,
     for j, (gj, lj) in enumerate(factors):
         if j == index:
             continue
-        m = _pair_multiplicity(gi, gj, shift)
+        m = local_intersection_multiplicity(gi, gj, shift)
         if m:
             total = total + lj / li * m
     return -total

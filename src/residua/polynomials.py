@@ -10,7 +10,10 @@ Division, gcd and resultants are exact.  The multivariate gcd is the
 classical primitive PRS algorithm (contents split off recursively, then a
 pseudo-remainder sequence on primitive parts); the resultant is the
 Sylvester determinant evaluated by fraction-free Bareiss elimination.
-Both are deterministic, which the canonical printing relies on.
+Both are deterministic, which the canonical printing relies on.  The
+resultant is the package's only elimination of a variable: with its
+cofactors (res = u*f + v*g, read off the same Sylvester matrix) it
+gives the univariate polynomials behind singular points and residues.
 """
 
 from __future__ import annotations
@@ -480,10 +483,6 @@ def exact_divide(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
     return MultiPoly(vars, quotient)
 
 
-def divides(d: MultiPoly, p: MultiPoly) -> bool:
-    return exact_divide(p, d) is not None
-
-
 def _univar_view(p: MultiPoly, var: str) -> dict[int, MultiPoly]:
     """Coefficients of powers of var, as polynomials in the other vars."""
     others = tuple(v for v in p.vars if v != var)
@@ -493,14 +492,6 @@ def _univar_view(p: MultiPoly, var: str) -> dict[int, MultiPoly]:
         rest = tuple(k for j, k in enumerate(e) if j != i)
         coeffs.setdefault(e[i], {})[rest] = c
     return {k: MultiPoly(others, terms) for k, terms in coeffs.items()}
-
-
-def _from_univar(coeffs: dict[int, MultiPoly], var: str) -> MultiPoly:
-    out = MultiPoly.const(0)
-    xv = MultiPoly.var(var)
-    for k, c in coeffs.items():
-        out = out + c * (xv ** k)
-    return out
 
 
 def _pseudo_rem(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
@@ -604,31 +595,58 @@ def poly_det(matrix: list[list[MultiPoly]]) -> MultiPoly:
     return det if sign > 0 else -det
 
 
+def _sylvester_rows(f: MultiPoly, g: MultiPoly, var: str):
+    """Sylvester matrix of f and g in var, of positive degrees m and n:
+    rows var^(n-1) f, ..., f, var^(m-1) g, ..., g over the columns
+    var^(m+n-1), ..., 1."""
+    zero = MultiPoly.const(0)
+
+    def shifts(p, deg, count):
+        view = _univar_view(p.align_to(sort_vars(set(p.vars) | {var})), var)
+        row = [view.get(deg - j, zero) for j in range(deg + 1)]
+        return [[zero] * i + row + [zero] * (count - 1 - i) for i in range(count)]
+
+    m, n = f.degree_in(var), g.degree_in(var)
+    return shifts(f, m, n) + shifts(g, n, m)
+
+
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester-determinant resultant eliminating var."""
+    """Sylvester-determinant resultant eliminating var; f^n when f is
+    free of var and g has degree n in var."""
     check_var(var)
-    m = f.degree_in(var)
-    n = g.degree_in(var)
     if f.is_zero() or g.is_zero():
         return MultiPoly.const(0)
-    if m <= 0 and n <= 0:
-        return MultiPoly.const(1)
-    fv = _univar_view(f.align_to(sort_vars(set(f.vars) | {var})), var)
-    gv = _univar_view(g.align_to(sort_vars(set(g.vars) | {var})), var)
-    if m <= 0:
-        return f.trim() ** n
-    if n <= 0:
-        return g.trim() ** m
-    size = m + n
+    m, n = f.degree_in(var), g.degree_in(var)
+    if m == 0 or n == 0:
+        return (f ** n * g ** m).trim()
+    return poly_det(_sylvester_rows(f, g, var)).trim()
+
+
+def resultant_cofactors(f: MultiPoly, g: MultiPoly, var: str):
+    """(res, u, v) with res = u*f + v*g the resultant eliminating var.
+
+    u and v are the determinants of the Sylvester matrix with its last
+    column replaced by (var^(n-1), ..., 1, 0, ..., 0) and by
+    (0, ..., 0, var^(m-1), ..., 1); by Cramer's rule they sum to res
+    against f and g.  A polynomial free of var takes the power formula
+    res = f^n, u = f^(n-1), v = 0.  Raises ValueError when neither
+    involves var: the resultant 1 is then not in their ideal."""
+    check_var(var)
+    m, n = f.degree_in(var), g.degree_in(var)
+    if max(m, n) <= 0:
+        raise ValueError(f"neither polynomial involves {var}")
     zero = MultiPoly.const(0)
-    rows = []
-    frow = [fv.get(m - j, zero) for j in range(m + 1)]
-    grow = [gv.get(n - j, zero) for j in range(n + 1)]
-    for i in range(n):
-        rows.append([zero] * i + frow + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + grow + [zero] * (size - n - 1 - i))
-    return poly_det(rows).trim()
+    if m <= 0:
+        return (f ** n).trim(), (f ** (n - 1)).trim(), zero
+    if n <= 0:
+        return (g ** m).trim(), zero, (g ** (m - 1)).trim()
+    t = MultiPoly.var(var)
+    f_col = [t ** (n - 1 - i) for i in range(n)] + [zero] * m
+    g_col = [zero] * n + [t ** (m - 1 - i) for i in range(m)]
+    rows = _sylvester_rows(f, g, var)
+    u = poly_det([row[:-1] + [c] for row, c in zip(rows, f_col)]).trim()
+    v = poly_det([row[:-1] + [c] for row, c in zip(rows, g_col)]).trim()
+    return (u * f + v * g).trim(), u, v
 
 
 # -- rational functions -------------------------------------------------

@@ -3,10 +3,12 @@
 series_residue reads off the residue of num/den at the origin of a one
 variable line.  grothendieck_residue computes the local residue of
 h dx dy / (F G) at the origin by rewriting the denominator pair into
-separated univariate polynomials through elimination with cofactor
-tracking; the determinant of the cofactor matrix carries the residue
-across, and the separated case is coefficient extraction against the
-truncated inverse of the unit parts.
+separated univariate polynomials: the Sylvester resultants in each
+variable, r = u F + v G, with cofactors read off the Sylvester matrix.
+By the transformation law the determinant of the cofactor matrix
+carries the residue across; the law holds for any such pair, not only
+for minimal eliminants.  The separated case is coefficient extraction
+against the truncated inverse of the unit parts.
 """
 
 from __future__ import annotations

@@ -155,3 +155,27 @@ def test_degenerate_locus_rejected():
 
 def test_constant_coefficient_no_singularities():
     assert Foliation(MultiPoly.const(1), X).singular_points() == []
+
+
+def test_pairs_with_no_second_variable():
+    # neither coefficient involves y: the pair is eliminated in x itself
+    assert Foliation(X, X - 1).singular_points() == []
+    assert Foliation(Y, Y - 1).singular_points() == []
+    # the resultant in y is x, whose root is a common zero at infinity only
+    assert Foliation(X * Y - 1, X).singular_points() == []
+
+
+def test_resultant_roots_at_infinity_are_rejected():
+    # Res_y = x^2 - 2x; x = 0 is a common zero at infinity, x = 2 a point
+    fol = Foliation(X * Y - 1, X ** 2 - 2 * X)
+    assert fol.singular_points() == [
+        SingularPoint((G(2), G(1, 0) / G(2, 0)), True)]
+    # the same with irrational x: only the numeric x = 2 +- sqrt(2) lead
+    # to points
+    fol = Foliation(X * Y - 1, X * (X ** 2 - 4 * X + 2))
+    pts = fol.singular_points()
+    assert len(pts) == 2 and not any(p.exact for p in pts)
+    for p in pts:
+        x0, y0 = p.to_complex()
+        assert abs(x0 * x0 - 4 * x0 + 2) < 1e-9
+        assert abs(x0 * y0 - 1) < 1e-9

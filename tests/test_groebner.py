@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from residua.rationals import GaussRational
-from residua.polynomials import MultiPoly, TermOrder
+from residua.polynomials import MultiPoly, TermOrder, exact_divide
 from residua.groebner import (
     elimination_generator,
     groebner_basis,
@@ -18,13 +18,6 @@ Y = MultiPoly.var("y")
 Z = MultiPoly.var("z")
 
 
-def combine(cofs, gens):
-    acc = MultiPoly.const(0)
-    for c, g in zip(cofs, gens):
-        acc = acc + c * g
-    return acc
-
-
 def test_basis_worked_example():
     # lex x > y
     gens = [X * Y ** 2, Y ** 3 - X ** 2]
@@ -32,11 +25,14 @@ def test_basis_worked_example():
     assert list(ideal.basis) == [X ** 2 - Y ** 3, X * Y ** 2, Y ** 5]
 
 
-def test_cofactors_reconstruct_basis():
+def test_basis_generates_the_ideal():
     gens = [X * Y ** 2, Y ** 3 - X ** 2]
     ideal = groebner_basis(gens)
-    for poly, row in zip(ideal.basis, ideal.cofactors):
-        assert combine(row, ideal.generators) == poly
+    # the generators lie in the ideal of the basis ...
+    for g in gens:
+        assert normal_form(g, ideal).is_zero()
+    # ... and the basis in the ideal of the generators
+    assert ideal.basis == (-gens[1], gens[0], Y ** 2 * gens[1] + X * gens[0])
 
 
 def test_normal_form():
@@ -99,17 +95,29 @@ def test_order_must_cover_variables():
 
 def test_elimination_generator_both_directions():
     gens = [Y - X ** 2, 1 - X * Y]
-    px, cx = elimination_generator(gens, "x")
-    assert px == X ** 3 - 1
-    assert combine(cx, gens) == px
-    py, cy = elimination_generator(gens, "y")
-    assert py == Y ** 3 - 1
-    assert combine(cy, gens) == py
+    for keep, order, eliminant in (("x", TermOrder(("y", "x")), X ** 3 - 1),
+                                   ("y", TermOrder(("x", "y")), Y ** 3 - 1)):
+        # the minimal eliminant: the lex basis with keep smallest meets
+        # k[keep] in exactly one element
+        ideal = groebner_basis(gens, order)
+        assert [g for g in ideal if g.active_vars() == (keep,)] == [eliminant]
+        # the resultant is in the ideal and a multiple of the eliminant;
+        # here it has the same degree, so it is a scalar multiple
+        res, (u, v) = elimination_generator(gens, keep)
+        assert res.active_vars() == (keep,)
+        assert u * gens[0] + v * gens[1] == res
+        assert exact_divide(res, eliminant).is_constant()
 
 
 def test_elimination_generator_missing():
     with pytest.raises(ValueError):
         elimination_generator([X * Y], "x")
+    # a shared factor involving y makes the resultant in y vanish
+    with pytest.raises(ValueError):
+        elimination_generator([X * Y, X * Y ** 2], "x")
+    # two constants leave no variable to eliminate
+    with pytest.raises(ValueError):
+        elimination_generator([MultiPoly.const(2), MultiPoly.const(3)], "x")
 
 
 def test_membership_random_combinations():
@@ -134,21 +142,20 @@ def test_membership_random_combinations():
             h1, h2 = MultiPoly.const(1), MultiPoly.const(2)
         member = h1 * g1 + h2 * g2
         assert normal_form(member, ideal).is_zero()
-        for poly, row in zip(ideal.basis, ideal.cofactors):
-            assert combine(row, ideal.generators) == poly
 
 
 def test_three_variable_elimination():
     # the curve (z^2, z^3, z) projects onto the whole y line, so the
-    # ideal meets k[y] only in zero
+    # lex basis with y smallest meets k[y] only in zero
     gens = [X - Z ** 2, Y - Z ** 3]
+    ideal = groebner_basis(gens, TermOrder(("z", "x", "y")))
+    assert not [g for g in ideal if g.active_vars() in ((), ("y",))]
+    # the resultant eliminates one variable, not two
     with pytest.raises(ValueError):
         elimination_generator(gens, "y")
     # x = z^2 with z^4 = 3 forces x^2 = 3
-    gens2 = [X - Z ** 2, Z ** 4 - 3]
-    q, c2 = elimination_generator(gens2, "x")
-    assert q == X ** 2 - 3
-    assert combine(c2, gens2) == q
+    ideal2 = groebner_basis([X - Z ** 2, Z ** 4 - 3], TermOrder(("z", "x")))
+    assert [g for g in ideal2 if g.active_vars() == ("x",)] == [X ** 2 - 3]
 
 
 def test_normal_form_is_linear():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from residua.exceptions import UnsupportedInputError
 from residua.rationals import GaussRational
@@ -214,3 +215,51 @@ def test_cs_factored_agrees_with_branch_on_random_curves():
         facs = [(X, e1), (g, e2)]
         fol = one_form_from_factored(facs)
         assert cs_from_factored(facs, 0) == cs_smooth_branch(fol, "x")
+
+
+gauss_ints = st.builds(GaussRational, st.integers(-3, 3), st.integers(-2, 2))
+# a + b*i with a > 0, times a unit: every nonzero value of small norm
+nonzero_gauss_ints = st.builds(
+    lambda a, b, k: GaussRational(a, b) * GaussRational(0, 1) ** k,
+    st.integers(1, 3), st.integers(-2, 2), st.integers(0, 3))
+
+
+def _crossing(l1, l2):
+    """Common point of the lines c x + d y + e = 0 given as (c, d, e)."""
+    (c1, d1, e1), (c2, d2, e2) = l1, l2
+    det = c1 * d2 - c2 * d1
+    return (e2 * d1 - e1 * d2) / det, (c2 * e1 - c1 * e2) / det
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_residue_agrees_with_factored_at_line_crossings(concurrent, data):
+    """Three Gaussian-integer lines with Gaussian-integer exponents: at
+    every crossing bb_residue (Grothendieck residue through Sylvester
+    cofactors) equals bb_from_factored (intersection multiplicities).  A
+    concurrent triple gives one degenerate point, Milnor number 4."""
+    draw = data.draw
+    dirs = draw(st.lists(st.tuples(gauss_ints, gauss_ints),
+                         min_size=3, max_size=3))
+    assume(all(c1 * d2 != c2 * d1
+               for k, (c1, d1) in enumerate(dirs) for c2, d2 in dirs[k + 1:]))
+    if concurrent:
+        px, py = draw(st.tuples(gauss_ints, gauss_ints))
+        lines = [(c, d, -(c * px + d * py)) for c, d in dirs]
+    else:
+        lines = [(c, d, draw(gauss_ints)) for c, d in dirs]
+        assume(_crossing(lines[0], lines[1]) != _crossing(lines[0], lines[2]))
+    exps = draw(st.lists(nonzero_gauss_ints, min_size=3, max_size=3))
+    # a zero exponent sum makes a concurrent triple dicritical
+    assume(not concurrent or not sum(exps, GaussRational(0)).is_zero())
+    facs = [(c * X + d * Y + e, ell) for (c, d, e), ell in zip(lines, exps)]
+    fol = one_form_from_factored(facs)
+    crossings = {_crossing(lines[i], lines[j])
+                 for i in range(3) for j in range(i + 1, 3)}
+    assert len(crossings) == (1 if concurrent else 3)
+    for point in crossings:
+        assert bb_residue(fol, point) == bb_from_factored(facs, point)
+    if concurrent:
+        (point,) = crossings
+        assert fol.milnor_number(point) == 4
