@@ -9,7 +9,7 @@ coefficients, which is a polynomial identity checked exactly.
 
 from __future__ import annotations
 
-from .rationals import ZERO, GaussRational
+from .rationals import GaussRational
 from .polynomials import (
     MultiPoly,
     RatFunc,
@@ -17,7 +17,7 @@ from .polynomials import (
     gaussian_content,
     poly_gcd,
 )
-from .foliation import Foliation
+from .foliation import Foliation, check_factors
 
 
 class DarbouxSpec:
@@ -43,29 +43,32 @@ class DarbouxSpec:
         return " * ".join(parts) if parts else "1"
 
 
-def poly_lcm(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    g = poly_gcd(p, q)
-    return exact_divide(p * q, g).monic()
-
-
 def logarithmic_differential(spec: DarbouxSpec, vars=("x", "y")):
-    """d(log H) as (P, Q, D) with dH/H = (P d vx + Q d vy) / D."""
+    """d(log H) as (P, Q, D) with dH/H = (P d vx + Q d vy) / D.
+
+    The triple is not reduced: D is the product of the polynomial parts
+    of the factors (times the square of the exponential part's
+    denominator), and P, Q may share factors with it.  Each factor
+    n/d counts as n^l * d^(-l), and the sum is taken by the product
+    rule, so no gcd is computed."""
     vx, vy = vars
-    tx = RatFunc.coerce(0)
-    ty = RatFunc.coerce(0)
+    p = MultiPoly.const(0)
+    q = MultiPoly.const(0)
+    den = MultiPoly.const(1)
     for f, ell in spec.factors:
-        if f.num.is_constant() and f.den.is_constant():
-            continue
-        tx = tx + f.diff(vx) / f * ell
-        ty = ty + f.diff(vy) / f * ell
+        for g, k in ((f.num, ell), (f.den, -ell)):
+            if g.is_constant():
+                continue
+            scaled = den * k
+            p = p * g + g.diff(vx) * scaled
+            q = q * g + g.diff(vy) * scaled
+            den = den * g
     if spec.exp_part is not None:
-        tx = tx + spec.exp_part.diff(vx)
-        ty = ty + spec.exp_part.diff(vy)
-    if tx.is_zero() and ty.is_zero():
-        return MultiPoly.const(0), MultiPoly.const(0), MultiPoly.const(1)
-    den = poly_lcm(tx.den, ty.den)
-    p = tx.num * exact_divide(den, tx.den)
-    q = ty.num * exact_divide(den, ty.den)
+        n, d = spec.exp_part.num, spec.exp_part.den
+        d2 = d * d
+        p = p * d2 + (n.diff(vx) * d - n * d.diff(vx)) * den
+        q = q * d2 + (n.diff(vy) * d - n * d.diff(vy)) * den
+        den = den * d2
     return p, q, den
 
 
@@ -82,17 +85,7 @@ def one_form_from_factored(factors, vars=("x", "y")) -> Foliation:
     """The foliation with first integral prod g_i^(l_i), as a polynomial
     one-form with common factors and scalar content removed."""
     vx, vy = vars
-    clean = []
-    for g, ell in factors:
-        g = MultiPoly.coerce(g)
-        ell = GaussRational.coerce(ell)
-        if g.is_constant():
-            raise ValueError("constant factor in the product")
-        if ell.is_zero():
-            raise ValueError("zero exponent in the product")
-        clean.append((g, ell))
-    if not clean:
-        raise ValueError("empty factor list")
+    clean = check_factors(factors)
     a = MultiPoly.const(0)
     b = MultiPoly.const(0)
     for i, (gi, li) in enumerate(clean):

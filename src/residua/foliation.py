@@ -58,6 +58,24 @@ def _eval_scale(p: MultiPoly, vx, vy, x0: complex, y0: complex) -> float:
     return max(total, 1.0)
 
 
+def check_factors(factors) -> list[tuple[MultiPoly, GaussRational]]:
+    """The factors (g_i, l_i) of a first integral prod g_i^(l_i) as
+    polynomials and exponents; ValueError for a constant factor, a zero
+    exponent or an empty list."""
+    out = []
+    for g, ell in factors:
+        g = MultiPoly.coerce(g)
+        ell = GaussRational.coerce(ell)
+        if g.is_constant():
+            raise ValueError("constant factor in the product")
+        if ell.is_zero():
+            raise ValueError("zero exponent in the product")
+        out.append((g, ell))
+    if not out:
+        raise ValueError("empty factor list")
+    return out
+
+
 class Foliation:
     """Polynomial one-form a d(vx) + b d(vy) on an affine chart."""
 
@@ -113,6 +131,8 @@ class Foliation:
     def rename(self, vars) -> "Foliation":
         """Same form written in new chart variable names."""
         nx, ny = vars
+        if (nx, ny) == (self.vx, self.vy):
+            return self
         sub = {self.vx: MultiPoly.var(nx), self.vy: MultiPoly.var(ny)}
         return Foliation(self.a.substitute_poly(sub),
                          self.b.substitute_poly(sub), (nx, ny))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .exceptions import UnsupportedInputError
 from .rationals import ZERO, GaussRational
 from .polynomials import MultiPoly, exact_divide
-from .foliation import Foliation
+from .foliation import Foliation, check_factors
 from .residues import grothendieck_residue, series_residue
 from .multiplicity import local_intersection_multiplicity
 
@@ -86,21 +86,6 @@ def cs_smooth_branch(fol: Foliation, branch_var: str, point=None) -> GaussRation
     return -series_residue(num, den, other)
 
 
-def _check_factors(factors):
-    out = []
-    for g, ell in factors:
-        g = MultiPoly.coerce(g)
-        ell = GaussRational.coerce(ell)
-        if g.is_constant():
-            raise ValueError("constant factor in the product")
-        if ell.is_zero():
-            raise ValueError("zero exponent in the product")
-        out.append((g, ell))
-    if len(out) < 1:
-        raise ValueError("empty factor list")
-    return out
-
-
 def _factored_shift(point, vars):
     if not point:
         return None
@@ -112,7 +97,7 @@ def _factored_shift(point, vars):
 def bb_from_factored(factors, point=None, vars=("x", "y")) -> GaussRational:
     """Baum-Bott residue of the foliation with first integral
     prod g_i^(l_i), from pairwise intersection multiplicities."""
-    factors = _check_factors(factors)
+    factors = check_factors(factors)
     shift = _factored_shift(point, vars)
     total = ZERO
     for i in range(len(factors)):
@@ -130,7 +115,7 @@ def cs_from_factored(factors, index: int, point=None,
                      vars=("x", "y")) -> GaussRational:
     """Camacho-Sad index along the branch g_index = 0 of the same
     foliation."""
-    factors = _check_factors(factors)
+    factors = check_factors(factors)
     if not 0 <= index < len(factors):
         raise ValueError("factor index out of range")
     shift = _factored_shift(point, vars)

@@ -22,7 +22,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .rationals import ZERO, ONE, GaussRational, gauss_int_gcd
 
@@ -38,6 +38,12 @@ def check_var(name: str) -> str:
 
 def sort_vars(names) -> tuple[str, ...]:
     return tuple(sorted(set(names), key=_VAR_INDEX.__getitem__))
+
+
+@functools.lru_cache(maxsize=256)
+def _union_vars(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """sort_vars(a + b), computed once per pair of variable tuples."""
+    return sort_vars(a + b)
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,7 @@ class MultiPoly:
 
     def _aligned(self, other):
         other = MultiPoly.coerce(other)
-        vars = sort_vars(set(self.vars) | set(other.vars))
+        vars = _union_vars(self.vars, other.vars)
         return self.align_to(vars), other.align_to(vars)
 
     def __add__(self, other):
@@ -313,9 +319,15 @@ class MultiPoly:
         return total
 
     def substitute_poly(self, bindings: dict[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials for variables (unbound ones persist)."""
-        out = MultiPoly.const(0)
+        """Substitute polynomials for variables (unbound ones persist).
+
+        The substitution is simultaneous, so {x: y, y: x} swaps.  When
+        every image has at most one term, each term maps to one term by
+        exponent arithmetic and no polynomial product is formed."""
         images = {v: MultiPoly.coerce(b) for v, b in bindings.items()}
+        if all(len(p.terms) <= 1 for p in images.values()):
+            return self._substitute_monomials(images)
+        out = MultiPoly.const(0)
         for e, c in self.terms.items():
             term = MultiPoly.const(c)
             for v, k in zip(self.vars, e):
@@ -323,6 +335,39 @@ class MultiPoly:
                     term = term * (images.get(v, MultiPoly.var(v)) ** k)
             out = out + term
         return out
+
+    def _substitute_monomials(self, images: dict[str, "MultiPoly"]) -> "MultiPoly":
+        """substitute_poly for images that are 0 or c * monomial."""
+        maps = [images[v] if v in images else MultiPoly.var(v) for v in self.vars]
+        vars = sort_vars(w for p in maps for w in p.vars)
+        pos = {w: j for j, w in enumerate(vars)}
+        # per variable of self: None for a zero image, else the image's
+        # (index, exponent) pairs over vars and its coefficient
+        rows = []
+        for p in maps:
+            if not p.terms:
+                rows.append(None)
+                continue
+            (e, c), = p.terms.items()
+            rows.append(([(pos[w], k) for w, k in zip(p.vars, e) if k], c))
+        terms: dict[tuple[int, ...], GaussRational] = {}
+        for e, c in self.terms.items():
+            exp = [0] * len(vars)
+            for k, row in zip(e, rows):
+                if not k:
+                    continue
+                if row is None:
+                    break
+                mono, coeff = row
+                for j, m in mono:
+                    exp[j] += m * k
+                if not coeff.is_one():
+                    c = c * coeff ** k
+            else:
+                key = tuple(exp)
+                prev = terms.get(key)
+                terms[key] = c if prev is None else prev + c
+        return MultiPoly(vars, terms)
 
     def substitute(self, bindings: dict[str, "RatFunc | MultiPoly | GaussRational"]) -> "RatFunc":
         out = RatFunc.from_poly(MultiPoly.const(0))
@@ -336,12 +381,32 @@ class MultiPoly:
         return out
 
     def shift(self, point: dict[str, GaussRational]) -> "MultiPoly":
-        """Translate so the given point moves to the origin: v -> v + p_v."""
-        bindings = {}
+        """Translate so the given point moves to the origin: v -> v + p_v.
+
+        Each shifted variable is expanded by the binomial theorem,
+        (v + c)^k = sum_j comb(k, j) c^(k-j) v^j."""
+        p = self.align_to(sort_vars(self.vars))
         for v, val in point.items():
+            check_var(v)
             val = GaussRational.coerce(val)
-            bindings[v] = MultiPoly.var(v) + MultiPoly.const(val)
-        return self.substitute_poly(bindings)
+            if not val or v not in p.vars:
+                continue
+            i = p.vars.index(v)
+            powers = [ONE]
+            for _ in range(p.degree_in(v)):
+                powers.append(powers[-1] * val)
+            # binomial[k][j] = comb(k, j) * val^(k-j)
+            binomial = [[powers[k - j] * comb(k, j) for j in range(k + 1)]
+                        for k in range(len(powers))]
+            terms: dict[tuple[int, ...], GaussRational] = {}
+            for e, c in p.terms.items():
+                for j, b in enumerate(binomial[e[i]]):
+                    exp = e[:i] + (j,) + e[i + 1:]
+                    add = c * b
+                    prev = terms.get(exp)
+                    terms[exp] = add if prev is None else prev + add
+            p = MultiPoly(p.vars, terms)
+        return p
 
     # -- homogenization -------------------------------------------------
 

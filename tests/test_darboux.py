@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from residua import darboux
 from residua.rationals import GaussRational
 from residua.polynomials import MultiPoly, RatFunc
 from residua.foliation import Foliation
@@ -11,8 +13,8 @@ from residua.darboux import (
     check_first_integral,
     logarithmic_differential,
     one_form_from_factored,
-    poly_lcm,
 )
+from residua.indices import bb_from_factored, cs_from_factored
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -28,11 +30,6 @@ def test_spec_validation():
     spec = DarbouxSpec([(X, 1)], exp_part=RatFunc(Y, X))
     assert len(spec.factors) == 1
     assert spec.exp_part is not None
-
-
-def test_poly_lcm():
-    assert poly_lcm(X * Y, X) == X * Y
-    assert poly_lcm(X ** 2, X * Y) == X ** 2 * Y
 
 
 def test_logarithmic_differential_of_monomial():
@@ -56,6 +53,87 @@ def test_logarithmic_differential_exponential_part():
     assert p == Y
     assert q == -X
     assert d == X ** 2
+
+
+gauss_ints = st.builds(GaussRational, st.integers(-3, 3), st.integers(-2, 2))
+nonzero_gauss_ints = gauss_ints.filter(bool)
+
+
+def polys(degree):
+    monomials = [(i, j) for i in range(degree + 1) for j in range(degree + 1)
+                 if i + j <= degree]
+    return st.dictionaries(st.sampled_from(monomials), nonzero_gauss_ints,
+                           min_size=1, max_size=3).map(
+        lambda terms: MultiPoly(("x", "y"), terms))
+
+
+# a linear polynomial, constant or not, or a quotient of two
+bases = st.one_of(polys(1), st.tuples(polys(1), polys(1)).map(
+    lambda nd: RatFunc(*nd)))
+
+
+@st.composite
+def specs(draw):
+    """A spec with up to three factors, one of them possibly repeated,
+    and an optional exponential part.  The parts share at most one
+    denominator: the reference's gcds on several linear denominators
+    (or on quadratic factors) take tens of seconds."""
+    factors = draw(st.lists(st.tuples(bases, nonzero_gauss_ints), max_size=2))
+    if factors and draw(st.booleans()):
+        factors.append(draw(st.sampled_from(factors)))
+    exp_part = draw(st.one_of(st.none(), bases))
+    spec = DarbouxSpec(factors, exp_part)
+    parts = [f for f, _ in spec.factors] + [spec.exp_part] * (exp_part is not None)
+    assume(len({f.den for f in parts if not f.is_poly()}) <= 1)
+    return spec
+
+
+def log_differential_in_ratfuncs(spec, vx, vy):
+    """The reference: sum of l * df/f plus de, in reduced fractions."""
+    tx, ty = RatFunc.coerce(0), RatFunc.coerce(0)
+    for f, ell in spec.factors:
+        tx = tx + f.diff(vx) / f * ell
+        ty = ty + f.diff(vy) / f * ell
+    if spec.exp_part is not None:
+        tx = tx + spec.exp_part.diff(vx)
+        ty = ty + spec.exp_part.diff(vy)
+    return tx, ty
+
+
+@settings(deadline=None, max_examples=60)
+@given(specs())
+def test_logarithmic_differential_against_ratfunc_sum(spec):
+    p, q, d = logarithmic_differential(spec)
+    assert not d.is_zero()
+    tx, ty = log_differential_in_ratfuncs(spec, "x", "y")
+    assert p * tx.den == tx.num * d
+    assert q * ty.den == ty.num * d
+
+
+def test_check_first_integral_goes_through_log_differential(monkeypatch):
+    # the per-layer figure darboux.log_diff is taken on this call
+    calls = []
+    original = darboux.logarithmic_differential
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(darboux, "logarithmic_differential", counted)
+    assert check_first_integral(Foliation(Y, X), DarbouxSpec([(X, 1), (Y, 1)]))
+    assert len(calls) == 1
+
+
+@settings(deadline=None, max_examples=30)
+@given(polys(2), polys(2))
+def test_rename_is_invertible(a, b):
+    fol = Foliation(a, b)
+    assert fol.rename(("x", "y")) is fol
+    swapped = fol.rename(("y", "x"))
+    assert swapped.vars() == ("y", "x")
+    back = swapped.rename(("x", "y"))
+    assert back.vars() == ("x", "y")
+    assert back.a == a and back.b == b
 
 
 def test_rational_power_integral():
@@ -164,6 +242,21 @@ def test_one_form_validation():
     single = one_form_from_factored([(X, 1)])
     assert single.a == MultiPoly.const(1)
     assert single.b.is_zero()
+
+
+@pytest.mark.parametrize("factors, message", [
+    ([(MultiPoly.const(2), 1), (X, 1)], "constant factor in the product"),
+    ([(X, 1), (Y, 0)], "zero exponent in the product"),
+    ([], "empty factor list"),
+])
+@pytest.mark.parametrize("entry", [
+    one_form_from_factored,
+    bb_from_factored,
+    lambda factors: cs_from_factored(factors, 0),
+])
+def test_factored_entry_points_reject_alike(entry, factors, message):
+    with pytest.raises(ValueError, match=message):
+        entry(factors)
 
 
 def test_factored_products_verify_their_own_spec():

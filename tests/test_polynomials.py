@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from residua.rationals import GaussRational, I, ONE, gauss_sqrt, gauss_int_gcd
 from residua.polynomials import (
@@ -19,6 +20,7 @@ from residua.polynomials import (
     gaussian_content,
     poly_gcd,
     resultant,
+    sort_vars,
 )
 
 X = MultiPoly.var("x")
@@ -144,6 +146,8 @@ def test_eval_and_shift():
     # p(x+1, y) = x^2 + 2x + 1 + y
     assert shifted == X ** 2 + 2 * X + 1 + Y
     assert shifted.eval_exact({"x": c(0), "y": c(0)}) == c(1)
+    with pytest.raises(ValueError):
+        p.shift({"q": c(1)})
 
 
 def test_substitute_poly_and_ratfunc():
@@ -347,3 +351,94 @@ def test_format_poly_graded_order():
     # graded ordering puts total degree first
     p = X ** 3 + X * Y + Y
     assert format_poly(p) == "x^3 + x*y + y"
+
+
+# -- substitution and shift, against term-by-term products --------------
+
+T = MultiPoly.var("t")
+gauss_ints = st.builds(GaussRational, st.integers(-3, 3), st.integers(-2, 2))
+nonzero_gauss_ints = gauss_ints.filter(bool)
+small_gauss_rationals = st.builds(
+    lambda a, b, d: GaussRational(Fraction(a, d), Fraction(b, d)),
+    st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3))
+XYT = ("x", "y", "t")
+MONOMIALS = [(i, j, k) for i in range(3) for j in range(3) for k in range(2)]
+
+
+def polys_in(vars, monomials, max_size=5):
+    """A polynomial over vars, held in a random order of its variables."""
+    return st.tuples(
+        st.dictionaries(st.sampled_from(monomials), nonzero_gauss_ints,
+                        max_size=max_size),
+        st.permutations(vars),
+    ).map(lambda tp: MultiPoly(vars, tp[0]).align_to(tp[1]))
+
+
+# an image with at most one term: zero, a constant or c * monomial
+monomial_images = st.one_of(
+    st.just(MultiPoly.const(0)),
+    nonzero_gauss_ints.map(MultiPoly.const),
+    st.tuples(nonzero_gauss_ints, st.sampled_from(MONOMIALS)).map(
+        lambda cm: MultiPoly(XYT, {cm[1]: cm[0]})),
+    st.sampled_from([X, Y, T, T * X, MultiPoly.var("s") * Y]),
+)
+
+
+def substituted_by_products(p, images):
+    """The reference: every term expanded by polynomial products."""
+    out = MultiPoly.const(0)
+    for e, coeff in p.terms.items():
+        term = MultiPoly.const(coeff)
+        for v, k in zip(p.vars, e):
+            term = term * images.get(v, MultiPoly.var(v)) ** k
+        out = out + term
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(polys_in(XYT, MONOMIALS),
+       st.dictionaries(st.sampled_from(XYT), monomial_images, max_size=3))
+def test_substitute_monomial_images_against_products(p, images):
+    out = p.substitute_poly(images)
+    assert out == substituted_by_products(p, images)
+    assert out.vars == sort_vars(out.vars)
+
+
+@settings(deadline=None, max_examples=50)
+@given(polys_in(XYT, MONOMIALS))
+def test_substitute_swap_and_chart_maps(p):
+    swap = {"x": Y, "y": X}
+    assert p.substitute_poly(swap) == substituted_by_products(p, swap)
+    assert p.substitute_poly(swap).substitute_poly(swap) == p
+    chart = {"y": T * X}
+    assert p.substitute_poly(chart) == substituted_by_products(p, chart)
+
+
+@settings(deadline=None, max_examples=100)
+@given(polys_in(XYT, MONOMIALS),
+       st.dictionaries(st.sampled_from(XYT), small_gauss_rationals),
+       st.tuples(small_gauss_rationals, small_gauss_rationals,
+                 small_gauss_rationals))
+def test_shift_is_evaluation_at_the_moved_point(f, point, z):
+    z = dict(zip(XYT, z))
+    moved = {v: z[v] + point.get(v, 0) for v in XYT}
+    shifted = f.shift(point)
+    assert shifted.eval_exact(z) == f.eval_exact(moved)
+    assert shifted.vars == sort_vars(shifted.vars)
+
+
+@settings(deadline=None, max_examples=100)
+@given(polys_in(XYT, MONOMIALS),
+       st.dictionaries(st.sampled_from(XYT), small_gauss_rationals))
+def test_shift_back_is_identity(f, point):
+    back = {v: -val for v, val in point.items()}
+    assert f.shift(point).shift(back) == f
+
+
+def test_arithmetic_sorts_variables_in_global_order():
+    # default_order reads precedence from vars, so a result must not keep
+    # an operand's non-global order, even when both operands share it
+    p = (X + 2 * Y).align_to(("y", "x"))
+    for r in (p + p, p * p, p - 1, p.shift({"x": c(1)})):
+        assert r.vars == ("x", "y")
+    assert (p * p).monic() == (X + 2 * Y) ** 2
