@@ -1,8 +1,9 @@
 """Singularity indices: Baum-Bott residues and Camacho-Sad indices.
 
 bb_residue works at any isolated singular point through the Grothendieck
-residue of (div V)^2 against the dual vector field V, and collapses to
-trace^2/determinant at nondegenerate points.  cs_smooth_branch measures
+residue of (div V)^2 against the dual vector field V; at a nondegenerate
+point grothendieck_residue takes its closed form, which is
+trace^2/determinant of the linear part of V.  cs_smooth_branch measures
 the index of an invariant coordinate axis as a one variable residue.
 The *_from_factored forms evaluate the same indices for a foliation cut
 out by a product of curves with exponents, using only intersection
@@ -21,16 +22,6 @@ from .multiplicity import local_intersection_multiplicity
 
 def _at(fol: Foliation, point) -> Foliation:
     return fol.translate(point) if point else fol
-
-
-def bb_nondegenerate(fol: Foliation, point=None) -> GaussRational:
-    """trace^2 / det of the dual vector field's linear part."""
-    j = fol.jacobian_at(point)
-    tr = j[0][0] + j[1][1]
-    det = j[0][0] * j[1][1] - j[0][1] * j[1][0]
-    if det.is_zero():
-        raise ValueError("degenerate linear part, use bb_residue")
-    return tr * tr / det
 
 
 def bb_residue(fol: Foliation, point=None) -> GaussRational:

@@ -5,14 +5,22 @@ finite quotient ring of their ideal: multiplication-by-coordinate maps
 are nilpotent exactly on the part of the quotient supported at the
 origin, so the multiplicity is the dimension of the joint generalized
 kernel.  When the origin is the only common zero this collapses to the
-plain quotient dimension and the matrices are skipped.
+plain quotient dimension and the matrices are skipped.  At a simple
+zero, where the linear parts of the two curves are independent, the
+multiplicity is 1 and no Groebner basis is computed.
 """
 
 from __future__ import annotations
 
 from .exceptions import InfiniteMultiplicityError
 from .rationals import ZERO, ONE, GaussRational
-from .polynomials import MultiPoly, exact_divide, poly_gcd, sort_vars
+from .polynomials import (
+    MultiPoly,
+    exact_divide,
+    jacobian_det_at_origin,
+    poly_gcd,
+    sort_vars,
+)
 from .groebner import (
     elimination_generator,
     groebner_basis,
@@ -141,6 +149,15 @@ def local_intersection_multiplicity(f: MultiPoly, g: MultiPoly,
     origin = {v: ZERO for v in vars}
     if not f.eval_exact(origin).is_zero() or not g.eval_exact(origin).is_zero():
         return 0
+    if len(vars) == 2 and not jacobian_det_at_origin(f, g, *vars).is_zero():
+        return 1
+    return _quotient_multiplicity(f, g, vars)
+
+
+def _quotient_multiplicity(f: MultiPoly, g: MultiPoly, vars) -> int:
+    """local_intersection_multiplicity through the quotient ring, for
+    nonzero f and g in the variables vars, both vanishing at the origin."""
+    origin = {v: ZERO for v in vars}
     common = poly_gcd(f, g)
     if not common.is_constant():
         if common.eval_exact(origin).is_zero():
@@ -150,7 +167,6 @@ def local_intersection_multiplicity(f: MultiPoly, g: MultiPoly,
         f = exact_divide(f, common)
         g = exact_divide(g, common)
         vars = sort_vars(set(f.active_vars()) | set(g.active_vars()))
-        origin = {v: ZERO for v in vars}
     ideal = groebner_basis([f, g])
     std = standard_monomials(ideal)
     if std is None:

@@ -518,6 +518,14 @@ def format_poly(p: MultiPoly, order: TermOrder | None = None) -> str:
     return " ".join(pieces)
 
 
+def jacobian_det_at_origin(f: MultiPoly, g: MultiPoly,
+                           vx: str, vy: str) -> GaussRational:
+    """det of the Jacobian matrix of (f, g) in the ordered pair (vx, vy)
+    at the origin, read off the linear coefficients."""
+    return (f.coeff_of({vx: 1}) * g.coeff_of({vy: 1})
+            - f.coeff_of({vy: 1}) * g.coeff_of({vx: 1}))
+
+
 # -- exact division and gcd ---------------------------------------------
 
 
@@ -573,10 +581,15 @@ def _pseudo_rem(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
 
 
 def _content_wrt(p: MultiPoly, var: str) -> MultiPoly:
+    """Monic gcd of the coefficients of p as a polynomial in var, folded
+    from the highest power of var down and stopped once it is constant
+    (the top coefficient of a homogeneous p has the lowest degree)."""
     view = _univar_view(p, var)
     c = MultiPoly.const(0)
-    for coeff in view.values():
-        c = poly_gcd(c, coeff)
+    for k in sorted(view, reverse=True):
+        c = poly_gcd(c, view[k])
+        if c.is_constant() and not c.is_zero():
+            break
     return c
 
 
@@ -608,8 +621,8 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             pp = qq
             qq = r
             break
-        rc = _content_wrt(r, var)
-        pp, qq = qq, exact_divide(r, rc)
+        r = exact_divide(r, _content_wrt(r, var))
+        pp, qq = qq, r * gaussian_content([r]).inverse()
     g = exact_divide(pp, _content_wrt(pp, var))
     g = g * poly_gcd(cont_p, cont_q)
     return g.monic().trim()

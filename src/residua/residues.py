@@ -2,20 +2,28 @@
 
 series_residue reads off the residue of num/den at the origin of a one
 variable line.  grothendieck_residue computes the local residue of
-h dx dy / (F G) at the origin by rewriting the denominator pair into
-separated univariate polynomials: the Sylvester resultants in each
-variable, r = u F + v G, with cofactors read off the Sylvester matrix.
-By the transformation law the determinant of the cofactor matrix
-carries the residue across; the law holds for any such pair, not only
-for minimal eliminants.  The separated case is coefficient extraction
-against the truncated inverse of the unit parts.
+h dx dy / (F G) at the origin.  At a simple zero, where the linear parts
+of F and G are independent, it is h(0) / det J(0) with J the Jacobian
+matrix of (F, G); no elimination is run.  Elsewhere the denominator
+pair is rewritten into separated univariate polynomials: the Sylvester
+resultants in each variable, r = u F + v G, with cofactors read off the
+Sylvester matrix.  By the transformation law the determinant of the
+cofactor matrix carries the residue across; the law holds for any such
+pair, not only for minimal eliminants.  The separated case is
+coefficient extraction against the truncated inverse of the unit parts.
 """
 
 from __future__ import annotations
 
 from .exceptions import InfiniteMultiplicityError, UnsupportedInputError
 from .rationals import ZERO, GaussRational
-from .polynomials import MultiPoly, exact_divide, poly_gcd, sort_vars
+from .polynomials import (
+    MultiPoly,
+    exact_divide,
+    jacobian_det_at_origin,
+    poly_gcd,
+    sort_vars,
+)
 from .groebner import elimination_generator
 from .univariate import coeff_list, from_coeffs, order_at_zero, series_inverse
 
@@ -70,26 +78,47 @@ def grothendieck_residue(h: MultiPoly, f: MultiPoly, g: MultiPoly,
     """Local residue of h / (f, g) at the origin.
 
     f and g must both vanish at the origin and have no common component
-    through it.  A common factor not through the origin is divided out,
-    with h picking up its square (the cofactor determinant of the
-    rescaling).  The value is alternating in the coordinate pair, so
-    callers whose charts are not in default variable order must pass
-    the ordered pair explicitly."""
+    through it.  When their linear parts are independent the residue is
+    h(0) / det J(0), J the Jacobian matrix of (f, g) in the ordered pair.
+    The value is alternating in the coordinate pair, so callers whose
+    charts are not in default variable order must pass the ordered pair
+    explicitly."""
     h = MultiPoly.coerce(h)
     f = MultiPoly.coerce(f)
     g = MultiPoly.coerce(g)
-    origin = {v: ZERO
-              for v in set(f.active_vars()) | set(g.active_vars())}
+    active = set(f.active_vars()) | set(g.active_vars())
+    origin = {v: ZERO for v in active}
     if not f.eval_exact(origin).is_zero() or not g.eval_exact(origin).is_zero():
         raise ValueError("denominator pair must vanish at the origin")
+    # a pair the resultant path would turn down goes there for its error
+    pair = sort_vars(active) if vars is None else tuple(vars)
+    if (len(pair) == 2 and pair[0] != pair[1] and active <= set(pair)
+            and set(h.active_vars()) <= set(pair)):
+        det = jacobian_det_at_origin(f, g, *pair)
+        if not det.is_zero():
+            return h.coeff_of({}) / det
+    return _resultant_residue(h, f, g, vars)
+
+
+def _resultant_residue(h: MultiPoly, f: MultiPoly, g: MultiPoly,
+                       vars=None) -> GaussRational:
+    """grothendieck_residue through the Sylvester resultants, for a pair
+    vanishing at the origin.
+
+    A common factor c not through the origin is moved across by the
+    pair (f / c, c g), whose transformation matrix diag(1/c, c) has
+    determinant 1, until f and g are coprime; each round lowers the
+    degree of f."""
+    origin = {v: ZERO
+              for v in set(f.active_vars()) | set(g.active_vars())}
     common = poly_gcd(f, g)
-    if not common.is_constant():
+    while not common.is_constant():
         if common.eval_exact(origin).is_zero():
             raise InfiniteMultiplicityError(
                 "denominators share the component " + str(common))
         f = exact_divide(f, common)
-        g = exact_divide(g, common)
-        h = h * common * common
+        g = g * common
+        common = poly_gcd(f, g)
     active = sort_vars(set(f.active_vars()) | set(g.active_vars()))
     if vars is None:
         pair = active

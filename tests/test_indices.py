@@ -11,7 +11,6 @@ from residua.foliation import Foliation
 from residua.darboux import one_form_from_factored
 from residua.indices import (
     bb_from_factored,
-    bb_nondegenerate,
     bb_numeric,
     bb_residue,
     cs_from_factored,
@@ -28,17 +27,27 @@ def G(re, im=0):
     return GaussRational(Fraction(re), Fraction(im))
 
 
+def trace_squared_over_det(fol, point=None):
+    j = fol.jacobian_at(point)
+    tr = j[0][0] + j[1][1]
+    det = j[0][0] * j[1][1] - j[0][1] * j[1][0]
+    return tr * tr / det
+
+
 def test_bb_nondegenerate_node():
     # dual field (x, 2y): trace 3, det 2
     fol = Foliation.from_vector_field(X, 2 * Y)
-    assert bb_nondegenerate(fol) == G(9, 0) / G(2, 0)
-    assert bb_residue(fol) == G(9, 0) / G(2, 0)
+    assert trace_squared_over_det(fol) == G(9, 0) / G(2, 0)
+    assert bb_residue(fol) == trace_squared_over_det(fol)
 
 
-def test_bb_nondegenerate_rejects_degenerate_linear_part():
+def test_bb_residue_at_zero_determinant():
+    # dual field (x^2, y): det J(0) = 0, so trace^2/det does not apply;
+    # the residue of (1 + 2x)^2 / (x^2, y) is the x coefficient, 4
     fol = Foliation.from_vector_field(X ** 2, Y)
-    with pytest.raises(ValueError):
-        bb_nondegenerate(fol)
+    j = fol.jacobian_at()
+    assert (j[0][0] * j[1][1] - j[0][1] * j[1][0]).is_zero()
+    assert bb_residue(fol) == G(4)
 
 
 def test_bb_residue_handles_degenerate_point():
@@ -59,8 +68,8 @@ def test_bb_orientation_follows_chart_variables():
 
 def test_bb_at_exact_off_origin_point():
     fol = Foliation(X * Y - 1, Y - X ** 2)
-    assert bb_nondegenerate(fol, (1, 1)) == G(3)
-    assert bb_residue(fol, (1, 1)) == G(3)
+    assert trace_squared_over_det(fol, (1, 1)) == G(3)
+    assert bb_residue(fol, (1, 1)) == trace_squared_over_det(fol, (1, 1))
 
 
 def test_bb_numeric_at_complex_points():

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from residua.exceptions import InfiniteMultiplicityError
 from residua.rationals import GaussRational
 from residua.polynomials import MultiPoly
 from residua.multiplicity import (
+    _quotient_multiplicity,
     kernel_basis,
     local_intersection_multiplicity,
     mat_mul,
@@ -130,3 +132,48 @@ def test_bezout_total_over_all_points():
 
 def test_worked_example_dimension_seven():
     assert local_intersection_multiplicity(X * Y ** 2, Y ** 3 - X ** 2) == 7
+
+
+gauss_ints = st.builds(GaussRational, st.integers(-3, 3), st.integers(-2, 2))
+HIGHER = [(i, j) for i in range(4) for j in range(4) if 2 <= i + j <= 3]
+
+
+@st.composite
+def simple_zeros(draw):
+    """(f, g): Gaussian-integer f, g of degree <= 3 vanishing at 0 with
+    independent linear parts."""
+    a, b, c, d = (draw(gauss_ints) for _ in range(4))
+    assume(not (a * d - b * c).is_zero())
+
+    def poly(linear_x, linear_y):
+        terms = draw(st.dictionaries(st.sampled_from(HIGHER), gauss_ints,
+                                     max_size=4))
+        terms[(1, 0)], terms[(0, 1)] = linear_x, linear_y
+        return MultiPoly(("x", "y"), terms)
+
+    return poly(a, b), poly(c, d)
+
+
+@settings(deadline=None, max_examples=100)
+@given(simple_zeros(), st.tuples(gauss_ints, gauss_ints))
+def test_simple_zero_has_multiplicity_one(case, point):
+    f, g = case
+    assert local_intersection_multiplicity(f, g) == 1
+    assert _quotient_multiplicity(f, g, ("x", "y")) == 1
+    # the same pair moved to the point
+    at = dict(zip(("x", "y"), point))
+    back = {v: MultiPoly.var(v) - at[v] for v in at}
+    moved = [p.substitute_poly(back) for p in (f, g)]
+    assert local_intersection_multiplicity(*moved, at) == 1
+
+
+@settings(deadline=None, max_examples=100)
+@given(simple_zeros())
+def test_simple_zero_keeps_the_old_answers_off_the_pair(case):
+    f, g = case
+    assert local_intersection_multiplicity(f + 1, g) == 0
+    assert local_intersection_multiplicity(f, g - 1) == 0
+    with pytest.raises(InfiniteMultiplicityError):
+        local_intersection_multiplicity(X * f, X * g)
+    with pytest.raises(InfiniteMultiplicityError):
+        local_intersection_multiplicity(f, MultiPoly.const(0))

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from residua import polynomials
 from residua.rationals import GaussRational, I, ONE, gauss_sqrt, gauss_int_gcd
 from residua.polynomials import (
     MultiPoly,
@@ -247,6 +248,36 @@ def test_poly_gcd_random_products():
         assert exact_divide(d, poly_gcd(g.monic(), d) if False else MultiPoly.const(1)) is not None
         # the common factor g divides the gcd
         assert exact_divide(d, g.monic()) is not None or poly_gcd(a, b).degree() > 0
+
+
+def test_poly_gcd_calls_do_not_depend_on_term_order(monkeypatch):
+    # the traced polynomials.gcd_calls counts these recursive calls
+    def calls_of(fn, *args):
+        calls = []
+        original = polynomials.poly_gcd
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(polynomials, "poly_gcd", spy)
+        try:
+            return fn(*args), len(calls)
+        finally:
+            monkeypatch.undo()
+
+    def reordered(p):
+        return MultiPoly(p.vars, dict(reversed(list(p.terms.items()))))
+
+    common = X * Y + 2 * Y - 1
+    a = common * (X ** 2 * Y + 3 * Y ** 2 - X + 2)
+    b = common * (X * Y ** 2 - 2 * X + Y ** 3 + 1) * (Y + 1)
+    gcd, calls = calls_of(polynomials.poly_gcd, a, b)
+    assert gcd == common.monic()
+    assert calls_of(polynomials.poly_gcd, reordered(a), reordered(b)) == (gcd, calls)
+    # the content fold stops at the constant top coefficient
+    p = 3 * X ** 2 + (Y ** 3 + Y) * X + Y ** 4 - 1
+    assert calls_of(polynomials._content_wrt, p, "x") == (MultiPoly.const(1), 1)
 
 
 def test_gaussian_content():

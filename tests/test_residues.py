@@ -2,15 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from residua.exceptions import InfiniteMultiplicityError
+from residua.exceptions import InfiniteMultiplicityError, UnsupportedInputError
 from residua.rationals import GaussRational
 from residua.polynomials import MultiPoly
-from residua.residues import grothendieck_residue, series_residue
+from residua.residues import (
+    _resultant_residue,
+    grothendieck_residue,
+    series_residue,
+)
 from residua.multiplicity import local_intersection_multiplicity
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
+Z = MultiPoly.var("z")
 
 
 def G(re, im=0):
@@ -116,6 +122,24 @@ def test_common_factor_not_through_origin():
     assert grothendieck_residue(MultiPoly.const(1), f, g) == G(1)
 
 
+def test_common_unit_factor_at_a_simple_zero():
+    # 1 / ((x+2)^2 x y): the residue is 1/(x+2)^2 at 0
+    f = (X + 2) * X
+    g = (X + 2) * Y
+    assert grothendieck_residue(MultiPoly.const(1), f, g) == G(Fraction(1, 4))
+    assert _resultant_residue(MultiPoly.const(1), f, g) == G(Fraction(1, 4))
+
+
+def test_common_unit_factor_at_a_double_zero():
+    # 1 / ((x+2)^2 x^2 y): the x coefficient of 1/(x+2)^2, -2/2^3
+    f = (X + 2) * X ** 2
+    g = (X + 2) * Y
+    assert grothendieck_residue(MultiPoly.const(1), f, g) == G(Fraction(-1, 4))
+    # the factor divides f twice: two rounds of (f/c, c g)
+    f = (X + 2) ** 2 * X ** 2
+    assert grothendieck_residue(MultiPoly.const(1), f, g) == G(Fraction(-3, 16))
+
+
 def test_shared_component_through_origin_rejected():
     with pytest.raises(InfiniteMultiplicityError):
         grothendieck_residue(MultiPoly.const(1), X * Y, X * (Y + X))
@@ -129,3 +153,59 @@ def test_nonvanishing_denominator_rejected():
 def test_numerator_variable_check():
     with pytest.raises(ValueError):
         grothendieck_residue(MultiPoly.var("z"), X, Y)
+
+
+gauss_ints = st.builds(GaussRational, st.integers(-3, 3), st.integers(-2, 2))
+HIGHER = [(i, j) for i in range(4) for j in range(4) if 2 <= i + j <= 3]
+
+
+@st.composite
+def simple_zeros(draw):
+    """(f, g, det): Gaussian-integer f, g of degree <= 3 vanishing at 0,
+    det the nonzero determinant of their linear parts in (x, y)."""
+    a, b, c, d = (draw(gauss_ints) for _ in range(4))
+    det = a * d - b * c
+    assume(not det.is_zero())
+
+    def poly(linear_x, linear_y):
+        terms = draw(st.dictionaries(st.sampled_from(HIGHER), gauss_ints,
+                                     max_size=4))
+        terms[(1, 0)], terms[(0, 1)] = linear_x, linear_y
+        return MultiPoly(("x", "y"), terms)
+
+    return poly(a, b), poly(c, d), det
+
+
+numerators = st.dictionaries(
+    st.sampled_from([(i, j) for i in range(3) for j in range(3)]),
+    gauss_ints, max_size=4).map(lambda t: MultiPoly(("x", "y"), t))
+
+
+@settings(deadline=None, max_examples=100)
+@given(simple_zeros(), numerators)
+def test_simple_zero_closed_form_against_resultant_path(case, h):
+    f, g, det = case
+    value = grothendieck_residue(h, f, g)
+    assert value == h.coeff_of({}) / det
+    assert value == _resultant_residue(h, f, g)
+    assert grothendieck_residue(h, f, g, vars=("y", "x")) == -value
+
+
+@settings(deadline=None, max_examples=100)
+@given(simple_zeros(), numerators)
+def test_simple_zero_keeps_the_input_errors(case, h):
+    f, g, _ = case
+    with pytest.raises(ValueError):
+        grothendieck_residue(h, f + 1, g)
+    with pytest.raises(ValueError):
+        grothendieck_residue(h + Z, f, g)
+    with pytest.raises(ValueError):
+        grothendieck_residue(h, f, g, vars=("x", "z"))
+    with pytest.raises(UnsupportedInputError):
+        grothendieck_residue(h, f, (1 + Z) * g)
+    with pytest.raises(InfiniteMultiplicityError):
+        grothendieck_residue(h, X * f, X * g)
+    # a pair in x alone shares the component x through the origin
+    on_axis = [p.substitute_poly({"y": MultiPoly.const(0)}) for p in (f, g)]
+    with pytest.raises(InfiniteMultiplicityError):
+        grothendieck_residue(h, *on_axis)
