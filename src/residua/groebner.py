@@ -1,15 +1,15 @@
-"""Buchberger's algorithm and quotient-ring data.
+"""Elimination of one variable from a pair, and Buchberger's algorithm.
 
-Reduced lex Groebner bases serve the quotient algebra only: normal
-forms, standard monomials and the quotient dimension behind Milnor
-numbers.  No cofactors are tracked.  elimination_generator does not run
-Buchberger: it returns the Sylvester resultant of a pair, whose
-cofactors come from the same matrix (polynomials.resultant_cofactors).
+elimination_generator is how residua eliminates a variable: it returns
+the Sylvester resultant of a pair, whose cofactors come from the same
+matrix (polynomials.resultant_cofactors).  No computation of the
+package runs groebner_basis (reduced lex bases, no cofactors) or
+normal_form: they stay as an independent elimination that the tests
+check resultants against, and the benchmark tracer wraps them by name.
 """
 
 from __future__ import annotations
 
-from .rationals import ZERO, GaussRational
 from .polynomials import (
     MultiPoly,
     TermOrder,
@@ -68,9 +68,6 @@ class IdealBasis:
 
     def __len__(self):
         return len(self.basis)
-
-    def contains_one(self) -> bool:
-        return any(g.is_constant() and not g.is_zero() for g in self.basis)
 
 
 def groebner_basis(gens, order: TermOrder | None = None) -> IdealBasis:
@@ -135,70 +132,6 @@ def normal_form(p, ideal: IdealBasis) -> MultiPoly:
     if extra:
         raise ValueError(f"polynomial uses variables {extra} outside the ideal ring")
     return _divide(p.align_to(vars), ideal.basis, ideal.order)
-
-
-class StandardMonomialSet:
-    """Monomial basis of the quotient ring, with coordinate extraction."""
-
-    __slots__ = ("ideal", "vars", "exponents", "index")
-
-    def __init__(self, ideal: IdealBasis, exponents):
-        self.ideal = ideal
-        self.vars = ideal.basis[0].vars
-        order = ideal.order
-        self.exponents = tuple(sorted(
-            exponents, key=lambda e: order.graded_key(self.vars, e)))
-        self.index = {e: k for k, e in enumerate(self.exponents)}
-
-    def __len__(self):
-        return len(self.exponents)
-
-    def coords(self, p) -> list[GaussRational]:
-        """Coordinates of p mod the ideal in this monomial basis."""
-        rem = normal_form(p, self.ideal)
-        vec = [ZERO] * len(self.exponents)
-        for e, c in rem.terms.items():
-            vec[self.index[e]] = c
-        return vec
-
-    def monomial(self, k) -> MultiPoly:
-        return MultiPoly(self.vars, {self.exponents[k]: GaussRational(1)})
-
-
-def standard_monomials(ideal: IdealBasis) -> StandardMonomialSet | None:
-    """None when the quotient is infinite dimensional."""
-    vars = ideal.basis[0].vars
-    lts = [g.leading_exponent(ideal.order) for g in ideal.basis]
-    if ideal.contains_one():
-        return StandardMonomialSet(ideal, [])
-    bounds = []
-    for i in range(len(vars)):
-        pure = [e[i] for e in lts if all(e[j] == 0 for j in range(len(vars)) if j != i)]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    exps = []
-    current = [0] * len(vars)
-
-    def walk(i):
-        if i == len(vars):
-            e = tuple(current)
-            if not any(_divides_exp(lt, e) for lt in lts):
-                exps.append(e)
-            return
-        for k in range(bounds[i]):
-            current[i] = k
-            walk(i + 1)
-        current[i] = 0
-
-    walk(0)
-    return StandardMonomialSet(ideal, exps)
-
-
-def quotient_dimension(gens, order: TermOrder | None = None) -> int | None:
-    """Dimension of polynomial ring mod ideal; None when infinite."""
-    std = standard_monomials(groebner_basis(gens, order))
-    return None if std is None else len(std)
 
 
 def elimination_generator(gens, keep: str):

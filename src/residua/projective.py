@@ -19,6 +19,10 @@ from .univariate import durand_kerner, rational_roots
 CHART_VARS = {"Z3": ("x", "y"), "Z2": ("u", "w"), "Z1": ("s", "t")}
 
 
+def _at_z3_zero(p: MultiPoly) -> MultiPoly:
+    return p.substitute_poly({"Z3": MultiPoly.const(0)})
+
+
 class ProjectivePoint:
     """A singular point with the chart where it is best inspected."""
 
@@ -98,9 +102,14 @@ class ProjectiveFoliation:
         if not euler.is_zero():
             raise ValueError("coordinates do not contract to zero "
                              "(Euler identity fails)")
-        common = poly_gcd(poly_gcd(l, m), n)
+        # by the Euler identity a factor of all three other than Z3 is a
+        # factor of l and m in the chart Z3 = 1, and the converse holds
+        common = poly_gcd(l.dehomogenize("Z3"), m.dehomogenize("Z3"))
         if not common.is_constant():
-            raise ValueError("coefficients share the factor " + str(common))
+            raise ValueError("coefficients share the factor "
+                             + str(common.homogenize("Z3", common.degree())))
+        if all(_at_z3_zero(p).is_zero() for p in triple):
+            raise ValueError("coefficients share the factor Z3")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -131,19 +140,23 @@ class ProjectiveFoliation:
     @classmethod
     def from_affine(cls, fol: Foliation) -> "ProjectiveFoliation":
         fol = fol.rename(("x", "y"))
-        deg = fol.degree()
+        a, b = fol.a, fol.b
+        common = poly_gcd(a, b)
+        if not common.is_constant():
+            a = exact_divide(a, common)
+            b = exact_divide(b, common)
+        deg = max(a.degree(), b.degree())
         sub = {"x": MultiPoly.var("Z1"), "y": MultiPoly.var("Z2")}
-        ah = fol.a.substitute_poly(sub).homogenize("Z3", deg)
-        bh = fol.b.substitute_poly(sub).homogenize("Z3", deg)
+        ah = a.substitute_poly(sub).homogenize("Z3", deg)
+        bh = b.substitute_poly(sub).homogenize("Z3", deg)
         z1, z2, z3 = (MultiPoly.var(v) for v in ("Z1", "Z2", "Z3"))
         l = z3 * ah
         m = z3 * bh
         n = -(z1 * ah + z2 * bh)
-        common = poly_gcd(poly_gcd(l, m), n)
-        if not common.is_constant():
-            l = exact_divide(l, common)
-            m = exact_divide(m, common)
-            n = exact_divide(n, common)
+        # a and b are coprime and Z3 divides at most one of ah, bh, so
+        # the three can share only Z3, and only once
+        if _at_z3_zero(n).is_zero():
+            l, m, n = ah, bh, exact_divide(n, z3)
         unit = gaussian_content([l, m, n]).inverse()
         return cls(l * unit, m * unit, n * unit)
 

@@ -211,7 +211,8 @@ def durand_kerner(p: MultiPoly, var: str, residual_tol: float = 1e-10,
     """All complex roots of the squarefree part, simultaneous iteration.
 
     Initial guesses are powers of 0.4+0.9i scaled by a coefficient bound,
-    so runs are deterministic.  Raises RootFindingError when a residual
+    so runs are deterministic.  Raises RootFindingError, carrying the
+    degree, max|z|, the worst residual and the bound, when a residual
     fails the bound residual_tol * max|coeff|.
     """
     f = squarefree_part(coeff_list(p, var))
@@ -239,11 +240,10 @@ def durand_kerner(p: MultiPoly, var: str, residual_tol: float = 1e-10,
             moved = max(moved, abs(delta))
         if moved < 1e-14 * (1.0 + max(abs(z) for z in zs)):
             break
-    for z in zs:
-        if abs(eval_complex(f, z)) > residual_tol * scale:
-            raise RootFindingError(
-                f"Durand-Kerner residual {abs(eval_complex(f, z)):.3e} "
-                f"exceeds {residual_tol:.1e} * {scale:.3e}")
+    bound = residual_tol * scale
+    failed = [r for r in (abs(eval_complex(f, z)) for z in zs) if r > bound]
+    if failed:
+        raise RootFindingError(n, max(abs(z) for z in zs), max(failed), bound)
     merged: list[complex] = []
     for z in sorted(zs, key=lambda v: (round(v.real, 12), round(v.imag, 12))):
         if merged and abs(z - merged[-1]) < cluster_tol:

@@ -9,8 +9,6 @@ from residua.groebner import (
     elimination_generator,
     groebner_basis,
     normal_form,
-    quotient_dimension,
-    standard_monomials,
 )
 
 X = MultiPoly.var("x")
@@ -50,37 +48,9 @@ def test_normal_form_rejects_foreign_vars():
         normal_form(Z, ideal)
 
 
-def test_standard_monomials_worked_example():
-    ideal = groebner_basis([X * Y ** 2, Y ** 3 - X ** 2])
-    std = standard_monomials(ideal)
-    assert std is not None
-    assert set(std.exponents) == {
-        (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1)}
-    assert len(std) == 7
-
-
-def test_standard_monomial_coords():
-    ideal = groebner_basis([X ** 2, Y ** 2])
-    std = standard_monomials(ideal)
-    p = 3 * X * Y + 2 * X + 1
-    vec = std.coords(p)
-    rebuilt = MultiPoly.const(0)
-    for k, c in enumerate(vec):
-        rebuilt = rebuilt + std.monomial(k) * c
-    assert rebuilt == p
-
-
-def test_quotient_dimensions():
-    assert quotient_dimension([X * Y ** 2, Y ** 3 - X ** 2]) == 7
-    assert quotient_dimension([X ** 2, Y ** 3]) == 6
-    assert quotient_dimension([X, Y]) == 1
-    assert quotient_dimension([X * Y]) is None
-
-
 def test_unit_ideal():
     ideal = groebner_basis([X, X + 1])
-    assert ideal.contains_one()
-    assert quotient_dimension([X, X + 1]) == 0
+    assert list(ideal.basis) == [MultiPoly.const(1)]
 
 
 def test_all_zero_generators_rejected():

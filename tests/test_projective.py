@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from residua.exceptions import DegenerateFoliationError
+from residua.exceptions import DegenerateFoliationError, UnsupportedInputError
 from residua.rationals import ZERO, ONE, GaussRational
-from residua.polynomials import MultiPoly
+from residua.polynomials import MultiPoly, exact_divide, poly_gcd
 from residua.foliation import Foliation
 from residua.projective import ProjectiveFoliation, ProjectivePoint
 
@@ -38,6 +39,16 @@ def test_validation():
         ProjectiveFoliation(Z1 + Z2 ** 2, -Z1, MultiPoly.const(0))
     with pytest.raises(ValueError):
         ProjectiveFoliation(Z2 * Z3 ** 2, -Z1 * Z3 ** 2, MultiPoly.const(0))
+
+
+def test_validation_finds_a_factor_shared_only_at_infinity():
+    # the chart Z3 = 1 sees the coprime pair (y, -x); Z3 divides all three
+    with pytest.raises(ValueError, match="Z3"):
+        ProjectiveFoliation(Z2 * Z3, -Z1 * Z3, MultiPoly.const(0))
+    # a factor the chart does see, reported in homogeneous form
+    with pytest.raises(ValueError, match=r"Z1 \+ Z3|Z3 \+ Z1"):
+        ProjectiveFoliation(Z2 * (Z1 + Z3), -Z1 * (Z1 + Z3),
+                            MultiPoly.const(0))
 
 
 def test_degrees():
@@ -137,6 +148,74 @@ def test_milnor_requires_exact_point():
     pts = fol.singular_points()
     numeric = [p for p in pts if not p.exact]
     assert numeric
-    from residua.exceptions import UnsupportedInputError
     with pytest.raises(UnsupportedInputError):
         fol.milnor_number(numeric[0])
+
+
+def reference_from_affine(fol: Foliation):
+    """The homogeneous triple of fol divided by the gcd of all three."""
+    deg = fol.degree()
+    sub = {"x": Z1, "y": Z2}
+    ah = fol.a.substitute_poly(sub).homogenize("Z3", deg)
+    bh = fol.b.substitute_poly(sub).homogenize("Z3", deg)
+    triple = [Z3 * ah, Z3 * bh, -(Z1 * ah + Z2 * bh)]
+    common = poly_gcd(poly_gcd(triple[0], triple[1]), triple[2])
+    return [exact_divide(p, common) for p in triple]
+
+
+gauss_ints = st.builds(GaussRational, st.integers(-2, 2), st.integers(-1, 1))
+
+
+def affine_poly(draw, degree):
+    exps = [(i, j) for i in range(degree + 1) for j in range(degree + 1)
+            if i + j <= degree]
+    terms = draw(st.dictionaries(st.sampled_from(exps), gauss_ints, max_size=4))
+    return MultiPoly(("x", "y"), terms)
+
+
+@st.composite
+def affine_foliations(draw):
+    """Gaussian-integer forms of degree <= 3, some with a factor shared by
+    both coefficients, some whose line at infinity is not invariant (so
+    Z3 divides the homogeneous triple and the degree drops)."""
+    a, b = affine_poly(draw, 2), affine_poly(draw, 2)
+    if draw(st.booleans()):
+        top = affine_poly(draw, 1)
+        a, b = a + Y * top * Y, b - X * top * Y
+    if draw(st.booleans()):
+        shared = affine_poly(draw, 1)
+        assume(not shared.is_zero())
+        a, b = a * shared, b * shared
+    assume(not (a.is_zero() and b.is_zero()))
+    return Foliation(a, b)
+
+
+@settings(deadline=None, max_examples=100)
+@given(affine_foliations())
+def test_from_affine_divides_out_every_common_factor(fol):
+    got = ProjectiveFoliation.from_affine(fol)
+    ref = reference_from_affine(fol)
+    k = next(i for i, p in enumerate(ref) if not p.is_zero())
+    mine = (got.l, got.m, got.n)
+    e, c = next(iter(ref[k].terms.items()))
+    unit = mine[k].terms[e] / c
+    assert list(mine) == [p * unit for p in ref]
+
+
+@settings(deadline=None, max_examples=50)
+@given(affine_foliations(), st.sampled_from([Z1, Z2, Z3, Z1 - 2 * Z3, Z2 + Z3]))
+def test_validation_rejects_any_shared_factor(fol, factor):
+    pfol = ProjectiveFoliation.from_affine(fol)
+    with pytest.raises(ValueError, match="share"):
+        ProjectiveFoliation(pfol.l * factor, pfol.m * factor, pfol.n * factor)
+
+
+@pytest.mark.xfail(raises=UnsupportedInputError, strict=True,
+                   reason="the divisor sieve's norm cap drops an exact "
+                          "Gaussian-integer point to the numeric path")
+def test_known_defect_sieve_cap_drops_a_degenerate_point():
+    # every affine singular point is a Gaussian integer, but the eliminant
+    # at (2 - 2i, 2), of Milnor number 2 * 3, has constant term of norm
+    # 8^6 > 200000, so the point comes back numeric and uncertified
+    fol = Foliation((X - G(2, -2)) ** 2 * X, (Y - 2) ** 3)
+    assert ProjectiveFoliation.from_affine(fol).check_bezout() == 13

@@ -69,15 +69,16 @@ def test_grothendieck_worked_cusp_pair():
 
 
 def test_residue_of_jacobian_is_multiplicity():
+    # multiplicities by hand: dim C[x, y]/(f, g), and 2 * 2, and 2
     cases = [
-        (X * Y ** 2, Y ** 3 - X ** 2),
-        (X ** 2, Y ** 2),
-        (Y - X ** 2, Y + X ** 2),
+        (X * Y ** 2, Y ** 3 - X ** 2, 7),
+        (X ** 2, Y ** 2, 4),
+        (Y - X ** 2, Y + X ** 2, 2),
     ]
-    for f, g in cases:
+    for f, g, mu in cases:
         jac = f.diff("x") * g.diff("y") - f.diff("y") * g.diff("x")
-        mu = local_intersection_multiplicity(f, g)
         assert grothendieck_residue(jac, f, g) == G(mu)
+        assert local_intersection_multiplicity(f, g) == mu
 
 
 def test_grothendieck_linearity():

@@ -175,6 +175,19 @@ def test_durand_kerner_matches_exact_roots():
         assert all(abs(z.imag) < 1e-8 for z in zs)
 
 
+def test_root_finding_error_carries_its_numbers():
+    # one sweep leaves the iterates far from the roots of the squarefree
+    # part x^2 + 1, whose largest coefficient is 1
+    with pytest.raises(RootFindingError) as err:
+        durand_kerner((X ** 2 + 1) ** 2, "x", max_iter=1)
+    e = err.value
+    assert e.degree == 2
+    assert e.bound == 1e-10
+    assert e.residual > e.bound
+    assert 0 < e.max_abs < 10
+    assert f"{e.residual:.3e}" in str(e) and "degree 2" in str(e)
+
+
 def test_eval_at():
     f = coeff_list(X ** 2 - 2, "x")
     assert eval_at(f, G(3)) == G(7)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from residua.exceptions import UnsupportedInputError
 from residua.rationals import GaussRational
@@ -199,3 +200,37 @@ def test_invariant_curve_validation():
         is_invariant_curve(fol, MultiPoly.const(2))
     with pytest.raises(ValueError):
         is_invariant_curve(fol, MultiPoly.var("u"))
+
+
+unit_square = st.builds(GaussRational, st.integers(-1, 1), st.integers(-1, 1))
+
+
+@st.composite
+def coordinate_products(draw):
+    """a = prod (x - p_i), b = prod (y - q_j) over n <= 3 Gaussian
+    integers in [-1, 1]^2 each; a value repeated r times in a and s times
+    in b gives a point of Milnor number r * s."""
+    n = draw(st.integers(1, 3))
+
+    def roots():
+        out = [draw(unit_square)]
+        for _ in range(n - 1):
+            out.append(out[-1] if draw(st.booleans()) else draw(unit_square))
+        return out
+
+    a, b = MultiPoly.const(1), MultiPoly.const(1)
+    for p in roots():
+        a = a * (X - p)
+    for q in roots():
+        b = b * (Y - q)
+    return n, Foliation(a, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(coordinate_products())
+def test_totals_at_degenerate_points(case):
+    n, fol = case
+    pfol = ProjectiveFoliation.from_affine(fol)
+    assert pfol.check_bezout() == n * n + n + 1
+    report = verify_baum_bott(pfol)
+    assert report.ok
